@@ -243,10 +243,4 @@ def check_suite(selectors=("all",), seed: int = DEFAULT_SEED) -> CheckReport:
             names.append(sel)
         else:
             raise ValidationError(f"unknown check {sel!r}; choose from {('all',) + CHECK_NAMES}")
-    results = []
-    for name in dict.fromkeys(names):
-        if name == "negative-control":
-            results.append(check_negative_control(seed=seed))
-        else:
-            results.append(_CHECKS[name](seed=seed))
-    return CheckReport(results=tuple(results))
+    return CheckReport(results=tuple(_CHECKS[name](seed=seed) for name in dict.fromkeys(names)))

@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--seed", type=int, default=0)
     exp.add_argument("--baseline-trivial", action="store_true",
                      help="also score the observed matrix itself")
-    exp.add_argument("--workers", type=int, default=1, help="worker threads across grid cells")
     exp.add_argument("--out", required=True, help="report path prefix (writes .json and .csv)")
     exp.set_defaults(func=_cmd_experiment)
 
@@ -125,7 +124,7 @@ def _cmd_experiment(args) -> int:
             seed=args.seed,
             baseline_trivial=args.baseline_trivial,
         )
-    report = run_experiment(spec, workers=args.workers)
+    report = run_experiment(spec)
     write_report_json(report, args.out + ".json")
     write_report_csv(report, args.out + ".csv")
     failures = [c for c in report.cells if c.failure is not None]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .estimator import EstimatorConfig, MaskedMatrix, SymmetryMode, usvt_estimate
-from .generators import bernoulli_mask, bernoulli_round
+from .generators import bernoulli_mask, bernoulli_round, sample_upper
 from .linalg import as_matrix, nuclear_norm, spectral_norm
 from .rng import make_rng, mix_seed
 
@@ -61,7 +61,6 @@ class BoundBracket:
 
     term_nuclear: float
     term_nuclear_sq: float
-    term_one: float
     bracket: float
     small_np_flag: bool
     term_nuclear_variant: float | None = None
@@ -91,7 +90,6 @@ def nuclear_bracket(m_matrix, p: float, sigma_sq: float | None = None) -> BoundB
     return BoundBracket(
         term_nuclear=term_nuclear,
         term_nuclear_sq=term_nuclear_sq,
-        term_one=1.0,
         bracket=min(term_nuclear, term_nuclear_sq, 1.0),
         small_np_flag=n_side * p < 20.0,
         term_nuclear_variant=variant,
@@ -252,16 +250,15 @@ def spectral_concentration_trial(
         if mode is SymmetryMode.ASYMMETRIC:
             a = np.asarray(sampler(rng, (n, n)), dtype=float)
             norm = spectral_norm(a)
+        elif mode is SymmetryMode.SYMMETRIC:
+            a = sample_upper(n, lambda i, j: sampler(rng, i.size))
+            norm = float(np.abs(np.linalg.eigvalsh(a)).max())
         else:
-            iu = np.triu_indices(n)
-            upper = np.zeros((n, n))
-            upper[iu] = sampler(rng, iu[0].size)
-            if mode is SymmetryMode.SYMMETRIC:
-                a = np.triu(upper) + np.triu(upper, 1).T
-                norm = float(np.abs(np.linalg.eigvalsh(a)).max())
-            else:
-                a = np.triu(upper, 1) - np.triu(upper, 1).T
-                norm = spectral_norm(a)
+            # The diagonal is drawn, keeping the stream of the symmetric
+            # mode, then zeroed.
+            a = sample_upper(n, lambda i, j: sampler(rng, i.size), below="negate")
+            np.fill_diagonal(a, 0.0)
+            norm = spectral_norm(a)
         hits += norm <= bound
     return hits / trials
 

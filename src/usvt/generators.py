@@ -141,9 +141,30 @@ def gen_low_rank(m: int, n: int, r: int, seed: int) -> np.ndarray:
     return out
 
 
-def _mirror_upper(upper: np.ndarray) -> np.ndarray:
-    """Symmetric matrix from an upper-triangular (including diagonal) part."""
-    return np.triu(upper) + np.triu(upper, 1).T
+#: How :func:`sample_upper` fills entry (j, i) from the value x at (i, j).
+_BELOW = {
+    "mirror": lambda x: x,
+    "negate": np.negative,
+    "complement": lambda x: 1.0 - x,
+}
+
+
+def sample_upper(n: int, draw, *, diagonal: bool = True, below: str = "mirror", dtype=float):
+    """n x n matrix built from its upper triangle.
+
+    ``draw(rows, cols)`` returns the entries at the index pairs on and above
+    the diagonal (strictly above when ``diagonal`` is False), in row-major
+    order; that order is the order in which a random ``draw`` consumes its
+    stream. Each entry (j, i) below the diagonal is filled from x at (i, j)
+    by ``below``: "mirror" (x), "negate" (-x) or "complement" (1 - x).
+    Diagonal entries keep their drawn value, or are zero when not drawn.
+    """
+    rows, cols = np.triu_indices(n, 0 if diagonal else 1)
+    upper = draw(rows, cols)
+    out = np.zeros((n, n), dtype=dtype)
+    out[cols, rows] = _BELOW[below](upper)
+    out[rows, cols] = upper
+    return out
 
 
 def gen_blockmodel(n, k, block_probs, seed, assignment=None):
@@ -171,20 +192,15 @@ def gen_blockmodel(n, k, block_probs, seed, assignment=None):
         if z.shape != (n,) or z.min() < 0 or z.max() >= k:
             raise ValidationError("assignment must map each of the n vertices to 0..k-1")
     m = b[np.ix_(z, z)]
-    iu = np.triu_indices(n)
-    upper = np.zeros((n, n))
-    upper[iu] = (rng.random(iu[0].size) < m[iu]).astype(float)
-    return m, _mirror_upper(upper)
+    return m, sample_upper(n, lambda i, j: rng.random(i.size) < m[i, j])
 
 
-def gen_distance_matrix(points, metric: str = "euclidean", seed: int | None = None) -> np.ndarray:
+def gen_distance_matrix(points, metric: str = "euclidean") -> np.ndarray:
     """Pairwise distances normalized by the realized diameter.
 
     The max entry is exactly 1 (all-zero if every point coincides), the
-    diagonal is zero and the triangle inequality is preserved. ``seed`` is
-    accepted for generator-API uniformity and ignored: distances are
-    deterministic given the points. Metrics: euclidean, manhattan,
-    chebyshev.
+    diagonal is zero and the triangle inequality is preserved. Metrics:
+    euclidean, manhattan, chebyshev.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -226,19 +242,14 @@ def uniform_points(n: int, dim: int, seed: int) -> np.ndarray:
 
 
 def _pairwise_eval(f, x_left, x_right):
-    # Vectorized call first; fall back to a scalar double loop for
-    # functions that only accept single pairs.
+    """``out[i, j] = f(x_left[i], x_right[j])`` from one broadcast call of
+    ``f``; a constant result is broadcast to (n, n)."""
     n = x_left.shape[0]
-    try:
-        out = np.asarray(f(x_left[:, None], x_right[None, :]), dtype=float)
-        if out.shape == (n, n):
-            return out
-    except Exception:
-        pass
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = f(x_left[i], x_right[j])
+    out = np.asarray(f(x_left[:, None], x_right[None, :]), dtype=float)
+    if out.ndim == 0:
+        return np.full((n, n), out)
+    if out.shape != (n, n):
+        raise ValidationError(f"pairwise function gave shape {out.shape}, not {(n, n)}")
     return out
 
 
@@ -295,13 +306,12 @@ def gen_graphon(n: int, f, seed: int) -> GraphonSample:
         raise ValidationError("n must be positive")
     rng = make_rng(seed)
     u = rng.random(n)
-    m = _mirror_upper(_pairwise_eval(f, u, u))
+    full = _pairwise_eval(f, u, u)
+    m = sample_upper(n, lambda i, j: full[i, j])
     if not np.isfinite(m).all() or m.min() < 0.0 or m.max() > 1.0:
         raise ValidationError("graphon values must lie in [0, 1]")
-    iu = np.triu_indices(n)
-    upper = np.zeros((n, n))
-    upper[iu] = (rng.random(iu[0].size) < m[iu]).astype(float)
-    return GraphonSample(u=u, m=m, adjacency=_mirror_upper(upper))
+    adjacency = sample_upper(n, lambda i, j: rng.random(i.size) < m[i, j])
+    return GraphonSample(u=u, m=m, adjacency=adjacency)
 
 
 def gen_bradley_terry(
@@ -342,10 +352,7 @@ def gen_bradley_terry(
         raise ValidationError(f"unknown tournament family {family!r}")
     # Build the lower triangle as exactly 1 - upper so p + p^T == 1 holds
     # entry for entry.
-    p = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    p[iu] = raw[iu]
-    p[(iu[1], iu[0])] = 1.0 - raw[iu]
+    p = sample_upper(n, lambda i, j: raw[i, j], diagonal=False, below="complement")
     return TournamentModel(p=p, strength_order=order)
 
 
@@ -368,18 +375,12 @@ def play_tournament(model: TournamentModel, p: float, games_per_pair: int, seed:
     prob = model.p
     n = prob.shape[0]
     rng = make_rng(seed)
-    iu = np.triu_indices(n, k=1)
-    played = rng.random(iu[0].size) < p
+    mask = sample_upper(n, lambda i, j: rng.random(i.size) < p, diagonal=False, dtype=bool)
     # Draw outcomes for every pair (played or not) so the stream is the
     # same at every p: masks at different p are then nested couplings.
-    wins = rng.binomial(games_per_pair, prob[iu])
-    frac = wins / games_per_pair
-    values = np.zeros((n, n))
-    values[iu] = np.where(played, frac, 0.0)
-    values[(iu[1], iu[0])] = np.where(played, 1.0 - frac, 0.0)
-    mask = np.zeros((n, n), dtype=bool)
-    mask[iu] = played
-    mask[(iu[1], iu[0])] = played
+    values = sample_upper(n, lambda i, j: rng.binomial(games_per_pair, prob[i, j]) / games_per_pair,
+                          diagonal=False, below="complement")
+    values *= mask  # unplayed pairs read 0 on both sides
     np.fill_diagonal(mask, True)
     return MaskedMatrix(values=values, mask=mask, mode=SymmetryMode.SKEW_SYMMETRIC)
 
@@ -453,10 +454,7 @@ def bernoulli_mask(rows: int, cols: int, p: float, mode: SymmetryMode, seed: int
         return rng.random((rows, cols)) < p
     if rows != cols:
         raise ValidationError(f"{mode.value} mode requires a square mask")
-    iu = np.triu_indices(rows)
-    mask = np.zeros((rows, rows), dtype=bool)
-    mask[iu] = rng.random(iu[0].size) < p
-    return mask | mask.T
+    return sample_upper(rows, lambda i, j: rng.random(i.size) < p, dtype=bool)
 
 
 def bernoulli_round(m, mode: SymmetryMode, seed: int) -> np.ndarray:
@@ -474,12 +472,5 @@ def bernoulli_round(m, mode: SymmetryMode, seed: int) -> np.ndarray:
         return (rng.random(m.shape) < m).astype(float)
     if m.shape[0] != m.shape[1]:
         raise ValidationError(f"{mode.value} mode requires a square matrix")
-    n = m.shape[0]
-    iu = np.triu_indices(n)
-    out = np.zeros((n, n))
-    out[iu] = (rng.random(iu[0].size) < m[iu]).astype(float)
-    if mode is SymmetryMode.SYMMETRIC:
-        return _mirror_upper(out)
-    off = np.triu_indices(n, k=1)
-    out[(off[1], off[0])] = 1.0 - out[off]
-    return out
+    below = "mirror" if mode is SymmetryMode.SYMMETRIC else "complement"
+    return sample_upper(m.shape[0], lambda i, j: rng.random(i.size) < m[i, j], below=below)

@@ -9,13 +9,12 @@ probability, and emits machine-readable reports (JSON plus a flat CSV, one
 row per grid cell).
 
 Reproducibility contract: identical spec + seed gives byte-identical
-report files, independent of the worker-thread count. Per-trial seeds are
-derived as ``mix_seed(seed, stream, n_index, trial)`` (stream 1 = model
-draws, stream 2 = mask/game draws); the p-grid index is deliberately not
-part of the path, so cells at different p share their model draws and get
-nested masks — paired comparisons across p. Cell wall times are tracked on
-the in-memory results but never serialized, since timing would break
-byte-identical reports.
+report files. Per-trial seeds are derived as ``mix_seed(seed, stream,
+n_index, trial)`` (stream 1 = model draws, stream 2 = mask/game draws); the
+p-grid index is deliberately not part of the path, so cells at different p
+share their model draws and get nested masks — paired comparisons across p.
+Cell wall times are tracked on the in-memory results but never serialized,
+since timing would break byte-identical reports.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -68,6 +67,7 @@ from .matrixio import read_matrix_csv, write_matrix_csv
 from .rng import mix_seed
 
 __all__ = [
+    "FAMILIES",
     "MODEL_KINDS",
     "ModelSpec",
     "ExperimentSpec",
@@ -80,60 +80,177 @@ __all__ = [
     "estimate_file",
 ]
 
-MODEL_KINDS = (
-    "zero",
-    "lowrank",
-    "lowrank_adversary",
-    "blockmodel",
-    "distance",
-    "latent",
-    "correlation",
-    "graphon",
-    "bradley_terry",
-    "minimax",
-)
+ASYM = SymmetryMode.ASYMMETRIC
+SYM = SymmetryMode.SYMMETRIC
+
+#: Default of a parameter that has none: the caller must give it.
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Family:
+    """One model family: accepted parameter names with their defaults
+    (:data:`REQUIRED` for none), symmetry mode, known value interval,
+    ``realize(prm, n, p, model_seed, data_seed) -> (truth, data)`` with
+    ``data`` a full matrix seen through a Bernoulli(p) mask in ``mode`` or a
+    self-masked :class:`MaskedMatrix`, and ``bracket(prm, n, p)``, the rate
+    bracket (``None``: nuclear-norm bracket of the first trial's truth)."""
+
+    params: dict
+    mode: SymmetryMode
+    interval: tuple | None
+    realize: Callable
+    bracket: Callable | None = None
+
+
+def _observed(x: np.ndarray, mask: np.ndarray, mode: SymmetryMode) -> MaskedMatrix:
+    return MaskedMatrix(values=np.where(mask, x, 0.0), mask=mask, mode=mode)
+
+
+def _catalog_lookup(catalog, name, what):
+    try:
+        return catalog[name]
+    except KeyError:
+        raise ValidationError(f"unknown {what} {name!r}; choose from {sorted(catalog)}") from None
+
+
+def _exact(truth):
+    """Realize function of a family whose data are the exact entries of
+    the truth ``truth(prm, n, p, model_seed)``."""
+    def realize(prm, n, p, model_seed, data_seed):
+        t = truth(prm, n, p, model_seed)
+        return t, t
+    return realize
+
+
+def _realize_lowrank(prm, n, p, model_seed, data_seed):
+    truth = gen_low_rank(n, n, int(prm["r"]), model_seed)
+    if prm["noise"] == "none":
+        return truth, truth
+    if prm["noise"] == "sign":
+        flips = bernoulli_round((truth + 1.0) / 2.0, ASYM, mix_seed(model_seed, 10))
+        return truth, 2.0 * flips - 1.0
+    raise ValidationError(f"unknown lowrank noise model {prm['noise']!r}")
+
+
+def _realize_blockmodel(prm, n, p, model_seed, data_seed):
+    k = int(prm["k"])
+    if prm["block_probs"] is None:
+        probs = np.full((k, k), float(prm["out_prob"]))
+        np.fill_diagonal(probs, float(prm["in_prob"]))
+    else:
+        probs = np.asarray(prm["block_probs"], dtype=float)
+    truth, adjacency = gen_blockmodel(n, k, probs, model_seed)
+    if prm["observe_diagonal"]:
+        return truth, adjacency
+    mask = bernoulli_mask(n, n, p, SYM, data_seed) & ~np.eye(n, dtype=bool)
+    return truth, _observed(adjacency, mask, SYM)
+
+
+def _latent_truth(prm, n, p, seed):
+    f = _catalog_lookup(LATENT_CATALOG, prm["f"], "latent function")
+    return gen_latent_space(n, int(prm["dim"]), f, seed)[0]
+
+
+def _realize_graphon(prm, n, p, model_seed, data_seed):
+    sample = gen_graphon(n, _catalog_lookup(GRAPHON_CATALOG, prm["f"], "graphon"), model_seed)
+    return sample.m, sample.adjacency
+
+
+def _realize_bradley_terry(prm, n, p, model_seed, data_seed):
+    # Pairs play with probability p: the tournament draw is the mask.
+    tm = gen_bradley_terry(n, model_seed, prm["family"], prm["strengths"])
+    return tm.p, play_tournament(tm, p, int(prm["games_per_pair"]), data_seed)
+
+
+def _minimax_truth(prm, n, p, seed):
+    # Nuclear budget theta * n^{3/2}; the construction requires p < 1.
+    return gen_minimax_instance(n, n, float(prm["theta"]) * n * math.sqrt(n), p, seed).m_matrix
+
+
+#: Every model family the harness sweeps, by kind.
+FAMILIES = {
+    "zero": Family({}, ASYM, None, _exact(lambda prm, n, p, seed: np.zeros((n, n)))),
+    "lowrank": Family(
+        {"r": REQUIRED, "noise": "none"}, ASYM, None, _realize_lowrank,
+        lambda prm, n, p: min(math.sqrt(int(prm["r"]) / (n * p)), 1.0),
+    ),
+    "lowrank_adversary": Family(
+        {"r": REQUIRED}, ASYM, None,
+        _exact(lambda prm, n, p, seed: gen_low_rank_adversary(n, n, int(prm["r"]), seed)),
+        lambda prm, n, p: low_rank_lower_bound(n, int(prm["r"]), p),
+    ),
+    "blockmodel": Family(
+        {"k": REQUIRED, "block_probs": None, "in_prob": 0.8, "out_prob": 0.2,
+         "observe_diagonal": True},
+        SYM, (0.0, 1.0), _realize_blockmodel,
+        lambda prm, n, p: min(math.sqrt(int(prm["k"]) / (n * p)), 1.0),
+    ),
+    "distance": Family(
+        {"dim": 1, "metric": "euclidean"}, SYM, (0.0, 1.0),
+        _exact(lambda prm, n, p, seed: gen_distance_matrix(
+            uniform_points(n, int(prm["dim"]), seed), prm["metric"])),
+        lambda prm, n, p: distance_bracket(n, p, lambda d: math.ceil(1.0 / d) ** int(prm["dim"])),
+    ),
+    "latent": Family(
+        {"dim": 1, "f": "dot"}, ASYM, None, _exact(_latent_truth),
+        lambda prm, n, p: lipschitz_latent_bracket(n, p, int(prm["dim"])),
+    ),
+    "correlation": Family(
+        {}, SYM, None, _exact(lambda prm, n, p, seed: gen_correlation_matrix(n, seed)),
+        lambda prm, n, p: psd_bracket(n, p),
+    ),
+    "graphon": Family({"f": "mean"}, SYM, (0.0, 1.0), _realize_graphon),
+    "bradley_terry": Family(
+        {"family": "nonparametric_monotone", "strengths": None, "games_per_pair": 1},
+        SymmetryMode.SKEW_SYMMETRIC, (0.0, 1.0), _realize_bradley_terry,
+        lambda prm, n, p: bradley_terry_bracket(n, p),
+    ),
+    "minimax": Family({"theta": REQUIRED}, ASYM, None, _exact(_minimax_truth)),
+}
+
+MODEL_KINDS = tuple(FAMILIES)
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Model family plus its parameters.
-
-    Parameters by kind:
-
-    - ``zero``: none.
-    - ``lowrank``: ``r`` (rank), ``noise`` ("none" = exact entries,
-      "sign" = +-1 data with matching means).
-    - ``lowrank_adversary``: ``r``.
-    - ``blockmodel``: ``k``; either ``block_probs`` (k x k nested list) or
-      ``in_prob``/``out_prob`` (defaults 0.8/0.2); ``observe_diagonal``
-      (default True). Data = one Bernoulli adjacency draw.
-    - ``distance``: ``dim`` (default 1), ``metric``; exact distances from
-      uniform points on [0, 1]^dim.
-    - ``latent``: ``dim``, ``f`` (name in :data:`LATENT_CATALOG`).
-    - ``correlation``: none; exact entries observed.
-    - ``graphon``: ``f`` (name in :data:`GRAPHON_CATALOG`); data = one
-      adjacency draw.
-    - ``bradley_terry``: ``family``, ``strengths`` (parametric only),
-      ``games_per_pair`` (default 1). Masking is part of the tournament
-      draw (pairs play with probability p).
-    - ``minimax``: ``theta`` in [0, 1]; nuclear budget theta * n^{3/2}.
-      Requires p < 1.
-    """
+    """Model family plus its parameters; :data:`FAMILIES` lists the kinds
+    and, for each, the parameter names it accepts with their defaults."""
 
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValidationError(f"unknown model kind {self.kind!r}")
+        family = FAMILIES.get(self.kind)
+        if family is None:
+            raise ValidationError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
         object.__setattr__(self, "params", dict(self.params))
+        bad = [f"unknown parameter {k!r}" for k in self.params if k not in family.params]
+        bad += [f"missing parameter {k!r}" for k, v in family.params.items()
+                if v is REQUIRED and k not in self.params]
+        if bad:
+            accepted = ", ".join(sorted(family.params)) or "none"
+            raise ValidationError(f"{self.kind} model: {'; '.join(bad)}; accepted: {accepted}")
+
+    def settings(self) -> dict:
+        """The parameters with the family's defaults filled in."""
+        return {**FAMILIES[self.kind].params, **self.params}
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": dict(self.params)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
+        _check_keys(cls, d)
         return cls(kind=d["kind"], params=d.get("params", {}))
+
+
+def _check_keys(cls, d: dict) -> None:
+    """Reject a key of ``d`` that names no field of the dataclass ``cls``."""
+    accepted = [f.name for f in fields(cls)]
+    for key in d:
+        if key not in accepted:
+            raise ValidationError(f"unknown {cls.__name__} key {key!r}; accepted: {accepted}")
 
 
 @dataclass(frozen=True)
@@ -177,6 +294,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
+        _check_keys(cls, d)
         return cls(
             model=ModelSpec.from_dict(d["model"]),
             n_grid=tuple(d["n_grid"]),
@@ -212,86 +330,13 @@ class ExperimentReport:
     rate_fits: dict
 
 
-def _blockmodel_probs(prm) -> np.ndarray:
-    k = int(prm["k"])
-    if "block_probs" in prm:
-        return np.asarray(prm["block_probs"], dtype=float)
-    out = np.full((k, k), float(prm.get("out_prob", 0.2)))
-    np.fill_diagonal(out, float(prm.get("in_prob", 0.8)))
-    return out
-
-
-def _catalog_lookup(catalog, name, what):
-    try:
-        return catalog[name]
-    except KeyError:
-        raise ValidationError(f"unknown {what} {name!r}; choose from {sorted(catalog)}") from None
-
-
 def _realize(model: ModelSpec, n: int, p: float, model_seed: int, data_seed: int):
     """Build (masked data, truth, interval) for one trial."""
-    kind, prm = model.kind, model.params
-    mode = SymmetryMode.ASYMMETRIC
-    interval = None
-    if kind == "zero":
-        truth = np.zeros((n, n))
-        x = truth
-    elif kind == "lowrank":
-        truth = gen_low_rank(n, n, int(prm["r"]), model_seed)
-        noise = prm.get("noise", "none")
-        if noise == "none":
-            x = truth
-        elif noise == "sign":
-            flips = bernoulli_round((truth + 1.0) / 2.0, mode, mix_seed(model_seed, 10))
-            x = 2.0 * flips - 1.0
-        else:
-            raise ValidationError(f"unknown lowrank noise model {noise!r}")
-    elif kind == "lowrank_adversary":
-        truth = gen_low_rank_adversary(n, n, int(prm["r"]), model_seed)
-        x = truth
-    elif kind == "blockmodel":
-        truth, x = gen_blockmodel(n, int(prm["k"]), _blockmodel_probs(prm), model_seed)
-        mode = SymmetryMode.SYMMETRIC
-        interval = (0.0, 1.0)
-    elif kind == "distance":
-        pts = uniform_points(n, int(prm.get("dim", 1)), model_seed)
-        truth = gen_distance_matrix(pts, prm.get("metric", "euclidean"))
-        x = truth
-        mode = SymmetryMode.SYMMETRIC
-        interval = (0.0, 1.0)
-    elif kind == "latent":
-        f = _catalog_lookup(LATENT_CATALOG, prm.get("f", "dot"), "latent function")
-        truth, _ = gen_latent_space(n, int(prm.get("dim", 1)), f, model_seed)
-        x = truth
-    elif kind == "correlation":
-        truth = gen_correlation_matrix(n, model_seed)
-        x = truth
-        mode = SymmetryMode.SYMMETRIC
-    elif kind == "graphon":
-        f = _catalog_lookup(GRAPHON_CATALOG, prm.get("f", "mean"), "graphon")
-        sample = gen_graphon(n, f, model_seed)
-        truth, x = sample.m, sample.adjacency
-        mode = SymmetryMode.SYMMETRIC
-        interval = (0.0, 1.0)
-    elif kind == "bradley_terry":
-        tm = gen_bradley_terry(
-            n, model_seed, prm.get("family", "nonparametric_monotone"), prm.get("strengths")
-        )
-        data = play_tournament(tm, p, int(prm.get("games_per_pair", 1)), data_seed)
-        return data, tm.p, (0.0, 1.0)
-    elif kind == "minimax":
-        theta = float(prm["theta"])
-        inst = gen_minimax_instance(n, n, theta * n * math.sqrt(n), p, model_seed)
-        truth = inst.m_matrix
-        x = truth
-    else:  # pragma: no cover - guarded by ModelSpec
-        raise ValidationError(f"unknown model kind {kind!r}")
-
-    mask = bernoulli_mask(n, n, p, mode, data_seed)
-    if kind == "blockmodel" and not prm.get("observe_diagonal", True):
-        mask = mask & ~np.eye(n, dtype=bool)
-    data = MaskedMatrix(values=np.where(mask, x, 0.0), mask=mask, mode=mode)
-    return data, truth, interval
+    family = FAMILIES[model.kind]
+    truth, data = family.realize(model.settings(), n, p, model_seed, data_seed)
+    if not isinstance(data, MaskedMatrix):
+        data = _observed(data, bernoulli_mask(n, n, p, family.mode, data_seed), family.mode)
+    return data, truth, family.interval
 
 
 def _bracket_for(model: ModelSpec, n: int, p: float, truth0: np.ndarray) -> float | None:
@@ -299,23 +344,10 @@ def _bracket_for(model: ModelSpec, n: int, p: float, truth0: np.ndarray) -> floa
     nuclear-norm bracket of the first trial's truth. p = 0 has no bracket."""
     if p <= 0.0:
         return None
-    kind, prm = model.kind, model.params
-    if kind == "lowrank":
-        return min(math.sqrt(int(prm["r"]) / (n * p)), 1.0)
-    if kind == "blockmodel":
-        return min(math.sqrt(int(prm["k"]) / (n * p)), 1.0)
-    if kind == "distance":
-        dim = int(prm.get("dim", 1))
-        return distance_bracket(n, p, lambda d: math.ceil(1.0 / d) ** dim)
-    if kind == "latent":
-        return lipschitz_latent_bracket(n, p, int(prm.get("dim", 1)))
-    if kind == "correlation":
-        return psd_bracket(n, p)
-    if kind == "bradley_terry":
-        return bradley_terry_bracket(n, p)
-    if kind == "lowrank_adversary":
-        return low_rank_lower_bound(n, int(prm["r"]), p)
-    return nuclear_bracket(truth0, p).bracket
+    bracket = FAMILIES[model.kind].bracket
+    if bracket is None:
+        return nuclear_bracket(truth0, p).bracket
+    return bracket(model.settings(), n, p)
 
 
 def _run_cell(spec: ExperimentSpec, i: int, j: int) -> CellResult:
@@ -362,18 +394,11 @@ def _run_cell(spec: ExperimentSpec, i: int, j: int) -> CellResult:
     )
 
 
-def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
-    """Sweep the full grid; deterministic given the spec regardless of
-    ``workers``. Failed cells carry a recorded reason; the rest complete."""
-    if workers < 1:
-        raise ValidationError("workers must be >= 1")
-    indices = [(i, j) for i in range(len(spec.n_grid)) for j in range(len(spec.p_grid))]
-    if workers == 1:
-        cells = [_run_cell(spec, i, j) for i, j in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(lambda ij: _run_cell(spec, *ij), indices))
+def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
+    """Sweep the full grid; deterministic given the spec. Failed cells
+    carry a recorded reason; the rest complete."""
     n_p = len(spec.p_grid)
+    cells = [_run_cell(spec, i, j) for i in range(len(spec.n_grid)) for j in range(n_p)]
     fits = {}
     for j, p in enumerate(spec.p_grid):
         column = [cells[i * n_p + j] for i in range(len(spec.n_grid))]
@@ -383,6 +408,13 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
         else:
             fits[repr(float(p))] = None
     return ExperimentReport(spec=spec, cells=tuple(cells), rate_fits=fits)
+
+
+#: The serialized fields of a :class:`CellResult`: a JSON cell, a CSV row.
+_CELL_FIELDS = (
+    "n", "p", "mean_mse", "std_mse", "mean_retained_rank",
+    "bracket", "trivial_mean_mse", "failure",
+)
 
 
 def _fit_to_dict(fit: RateFit | None):
@@ -403,19 +435,7 @@ def report_to_dict(report: ExperimentReport) -> dict:
     return {
         "schema": 1,
         "spec": report.spec.to_dict(),
-        "cells": [
-            {
-                "n": c.n,
-                "p": c.p,
-                "mean_mse": c.mean_mse,
-                "std_mse": c.std_mse,
-                "mean_retained_rank": c.mean_retained_rank,
-                "bracket": c.bracket,
-                "trivial_mean_mse": c.trivial_mean_mse,
-                "failure": c.failure,
-            }
-            for c in report.cells
-        ],
+        "cells": [{col: getattr(c, col) for col in _CELL_FIELDS} for c in report.cells],
         "rate_fits": {key: _fit_to_dict(fit) for key, fit in report.rate_fits.items()},
     }
 
@@ -426,18 +446,12 @@ def write_report_json(report: ExperimentReport, path) -> None:
         fh.write(payload + "\n")
 
 
-_CSV_COLUMNS = (
-    "n", "p", "mean_mse", "std_mse", "mean_retained_rank",
-    "bracket", "trivial_mean_mse", "failure",
-)
-
-
 def write_report_csv(report: ExperimentReport, path) -> None:
     """Flat per-cell table for plotting; one row per grid cell."""
-    lines = [",".join(_CSV_COLUMNS)]
+    lines = [",".join(_CELL_FIELDS)]
     for c in report.cells:
         row = []
-        for col in _CSV_COLUMNS:
+        for col in _CELL_FIELDS:
             value = getattr(c, col)
             if value is None:
                 row.append("")

@@ -56,7 +56,6 @@ class TestNuclearBracket:
         b = nuclear_bracket(np.zeros((4, 6)), 1.0)
         assert b.bracket == 0.0
         assert b.term_nuclear == 0.0 and b.term_nuclear_sq == 0.0
-        assert b.term_one == 1.0
 
     def test_maximal_nuclear_norm(self):
         # 4x4 Hadamard matrix: nuclear norm m*sqrt(n) = 8, the maximum for

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from usvt.errors import ValidationError
 from usvt.estimator import SymmetryMode
+from usvt.evaluation import spectral_concentration_trial
 from usvt.generators import (
     GRAPHON_CATALOG,
     LATENT_CATALOG,
@@ -24,7 +26,7 @@ from usvt.generators import (
     uniform_points,
 )
 from usvt.linalg import frobenius_norm, nuclear_norm, numerical_rank
-from usvt.rng import mix_seed
+from usvt.rng import make_rng, mix_seed
 
 ASYM = SymmetryMode.ASYMMETRIC
 SYM = SymmetryMode.SYMMETRIC
@@ -153,6 +155,23 @@ class TestLatentSpace:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             gen_latent_space(5, 1, lambda x, y: 2.0, seed=15)
+
+    def test_wrong_shape_rejected(self):
+        # Reduces over the wrong axis: shape (n, 1) instead of (n, n).
+        with pytest.raises(ValidationError, match="shape"):
+            gen_latent_space(6, 2, lambda x, y: np.mean(x * y, axis=(1, 2))[:, None], seed=16)
+
+    def test_error_inside_function_propagates(self):
+        # The error reaches the caller after one call: no per-pair retry.
+        calls = []
+
+        def broken(x, y):
+            calls.append(1)
+            raise RuntimeError("bug in f")
+
+        with pytest.raises(RuntimeError, match="bug in f"):
+            gen_latent_space(6, 2, broken, seed=17)
+        assert len(calls) == 1
 
 
 class TestCorrelation:
@@ -408,3 +427,93 @@ def test_all_generators_deterministic():
         a = gen(1000 + idx)
         b = gen(1000 + idx)
         assert np.array_equal(a, b), f"generator {idx} not deterministic"
+
+
+def _digest(*arrays):
+    """sha256 over the dtype, shape and bytes of each array, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _graphon_fields(sample):
+    return sample.u, sample.m, sample.adjacency
+
+
+def _bt_fields(tm):
+    return tm.p, tm.strength_order
+
+
+def _played(p, seed):
+    data = play_tournament(gen_bradley_terry(13, seed=seed), p, 3, seed=seed + 1)
+    return data.values, data.mask
+
+
+_PROBS = np.array([[0.9, 0.2, 0.4], [0.2, 0.7, 0.1], [0.4, 0.1, 0.6]])
+_UNIT = make_rng(7).random((13, 13))
+
+#: Outputs at fixed seeds and their digests. The draws involve no BLAS, so
+#: any change to a digest means the random stream itself changed.
+_PINNED = {
+    "blockmodel": (
+        lambda: gen_blockmodel(13, 3, _PROBS, seed=101),
+        "1e90d725cd45ff6b3551cde8c8b12e863130548d6914bde1f43ee54b7606df40",
+    ),
+    "graphon": (
+        lambda: _graphon_fields(gen_graphon(13, GRAPHON_CATALOG["product"], seed=102)),
+        "05205b1fdd8cffcd9ae4c5d61f84954898c71beab04b42ea7cf3c90426021f47",
+    ),
+    "bradley_terry": (
+        lambda: _bt_fields(gen_bradley_terry(13, seed=103)),
+        "bd184fbaf73298549fde9c60f28d02659b716ae58c8c94981c1b596a0421791e",
+    ),
+    "bradley_terry_parametric": (
+        lambda: _bt_fields(gen_bradley_terry(13, seed=104, family="parametric",
+                                             strengths=np.linspace(0.5, 4.0, 13))),
+        "32c5bf786f8ad39fe2507681b4674f3ad176c9e8d717af4e399065f659b80a07",
+    ),
+    "play_tournament": (
+        lambda: _played(0.6, 105),
+        "76d6afce3154ce4a6cee23d6ea2569b67f2317fdf2afe0949d40076c1c6ae0d8",
+    ),
+    "mask_asym": (
+        lambda: (bernoulli_mask(9, 13, 0.4, ASYM, seed=106),),
+        "cfca8065839dfe0e6506fed19d1ed742ef5a8c819506421e1d8a5aa7268d1128",
+    ),
+    "mask_sym": (
+        lambda: (bernoulli_mask(13, 13, 0.4, SYM, seed=107),),
+        "08090205e354c3da35c162f1b242b411e89c5799155709945b53d469f1f39fce",
+    ),
+    "mask_skew": (
+        lambda: (bernoulli_mask(13, 13, 0.4, SKEW, seed=108),),
+        "f4047e9eea2f695c78840574bc3070fe7d5198617161331e0604e9266ca18707",
+    ),
+    "round_asym": (
+        lambda: (bernoulli_round(_UNIT[:9], ASYM, seed=109),),
+        "653f9b8fcdb48e47e2299c3ee56f3bd8e0dfdd3be1fcfece8dac37c8c1e59add",
+    ),
+    "round_sym": (
+        lambda: (bernoulli_round(_UNIT, SYM, seed=110),),
+        "a3a52c9a32bbf5d305daeccd1cbbfc03e36d5284ad5563fd43dd7dd4777e8f34",
+    ),
+    "round_skew": (
+        lambda: (bernoulli_round(_UNIT, SKEW, seed=111),),
+        "4efb9106c251cc8d43dac14dd249dba22306e58cfe7ad77f7b1b3bb8b12553da",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_random_stream_pinned(name):
+    make, expected = _PINNED[name]
+    assert _digest(*make()) == expected
+
+
+@pytest.mark.parametrize("mode, expected", [(ASYM, 0.625), (SYM, 0.25), (SKEW, 0.875)])
+def test_concentration_trial_stream_pinned(mode, expected):
+    # eta < 0 puts the bound inside the spread of the norms at n = 20, so
+    # the fraction depends on every draw rather than saturating at 0 or 1.
+    assert spectral_concentration_trial(20, "uniform", mode, -0.2, 8, seed=5) == expected

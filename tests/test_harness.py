@@ -6,6 +6,9 @@ import pytest
 from usvt.errors import ValidationError
 from usvt.estimator import SymmetryMode
 from usvt.harness import (
+    FAMILIES,
+    MODEL_KINDS,
+    REQUIRED,
     ExperimentSpec,
     ModelSpec,
     estimate_file,
@@ -44,6 +47,30 @@ class TestSpecs:
         with pytest.raises(ValidationError):
             small_spec(trials=0)
 
+    def test_unknown_param_rejected(self):
+        with pytest.raises(ValidationError, match="in_porb") as info:
+            ModelSpec("blockmodel", {"k": 2, "in_porb": 0.99})
+        assert "in_prob" in str(info.value)  # the accepted names are listed
+
+    def test_missing_required_param_rejected(self):
+        with pytest.raises(ValidationError, match="'r'"):
+            ModelSpec("lowrank", {"noise": "sign"})
+        with pytest.raises(ValidationError, match="'theta'"):
+            ModelSpec("minimax")
+
+    def test_every_family_param_accepted(self):
+        for kind, family in FAMILIES.items():
+            required = {k: 1 for k, v in family.params.items() if v is REQUIRED}
+            assert ModelSpec(kind, {**family.params, **required}).kind == kind
+        assert MODEL_KINDS == tuple(FAMILIES)
+
+    def test_from_dict_rejects_unknown_keys(self):
+        d = small_spec().to_dict()
+        with pytest.raises(ValidationError, match="trails"):
+            ExperimentSpec.from_dict({**d, "trails": 5})
+        with pytest.raises(ValidationError, match="parms"):
+            ExperimentSpec.from_dict({**d, "model": {"kind": "zero", "parms": {}}})
+
     def test_round_trip_dict(self):
         spec = small_spec(sigma_sq=0.5, baseline_trivial=True)
         again = ExperimentSpec.from_dict(spec.to_dict())
@@ -66,17 +93,17 @@ class TestRunExperiment:
         expected = [(n, p) for n in spec.n_grid for p in spec.p_grid]
         assert seen == expected
 
-    def test_reports_byte_identical_across_runs_and_workers(self, tmp_path):
+    def test_reports_byte_identical_across_runs(self, tmp_path):
         spec = small_spec()
         paths = []
-        for tag, workers in (("a", 1), ("b", 1), ("c", 3)):
-            report = run_experiment(spec, workers=workers)
+        for tag in ("a", "b"):
+            report = run_experiment(spec)
             jpath = tmp_path / f"{tag}.json"
             cpath = tmp_path / f"{tag}.csv"
             write_report_json(report, jpath)
             write_report_csv(report, cpath)
             paths.append((jpath.read_bytes(), cpath.read_bytes()))
-        assert paths[0] == paths[1] == paths[2]
+        assert paths[0] == paths[1]
 
     def test_monotone_information_blockmodel(self):
         spec = ExperimentSpec(model=ModelSpec("blockmodel", {"k": 2}), n_grid=(60,),
@@ -153,10 +180,6 @@ class TestRunExperiment:
         )
         report = run_experiment(spec)
         assert report.cells[0].failure is None
-
-    def test_workers_validation(self):
-        with pytest.raises(ValidationError):
-            run_experiment(small_spec(), workers=0)
 
 
 class TestReportSerialization:
