@@ -111,9 +111,10 @@ def check_norm_order(cases: int = 200, seed: int = DEFAULT_SEED) -> CheckResult:
         r = int(rng.integers(1, min(m, n) + 1))
         low = gen_low_rank(m, n, r, mix_seed(seed, 8, case))
         sp, fro, nuc = spectral_norm(a), frobenius_norm(a), nuclear_norm(a)
+        sp_diff = spectral_norm(a - b)
         ok = sp <= fro * (1 + 1e-10) + 1e-12 and fro <= nuc * (1 + 1e-10) + 1e-12
-        ok = ok and abs(spectral_norm(a) - spectral_norm(b)) <= spectral_norm(a - b) * (1 + 1e-10) + 1e-12
-        ok = ok and spectral_norm(a - b) <= frobenius_norm(a - b) * (1 + 1e-10) + 1e-12
+        ok = ok and abs(sp - spectral_norm(b)) <= sp_diff * (1 + 1e-10) + 1e-12
+        ok = ok and sp_diff <= frobenius_norm(a - b) * (1 + 1e-10) + 1e-12
         rank = numerical_rank(low, 1e-10)
         if rank > 0:
             ok = ok and nuclear_norm(low) <= math.sqrt(rank) * frobenius_norm(low) * (1 + 1e-8)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_matrix, spectral_norm, svd
+from .linalg import as_matrix, spectral_norm, thresholded_part
 
 __all__ = [
     "SymmetryMode",
@@ -142,10 +142,11 @@ class EstimateReport:
     """Estimate plus diagnostics.
 
     ``retained_indices`` are positions in the descending singular-value
-    ordering that survived the threshold; ``threshold`` refers to the
-    interval-normalized scale and, for inputs with more rows than columns,
-    to the transposed (rows <= cols) orientation. ``no_data`` flags the
-    degenerate p_hat = 0 case where the estimate is the interval midpoint.
+    ordering that survived the threshold, always the leading
+    ``retained_rank``; ``threshold`` refers to the interval-normalized
+    scale and, for inputs with more rows than columns, to the transposed
+    (rows <= cols) orientation. ``no_data`` flags the degenerate p_hat = 0
+    case where the estimate is the interval midpoint.
     """
 
     estimate: np.ndarray
@@ -155,6 +156,14 @@ class EstimateReport:
     retained_indices: np.ndarray
     retained_rank: int
     no_data: bool = False
+
+
+def _variance_rate(p: float, sigma_sq: float) -> float:
+    """``q = p * sigma_sq + p * (1 - p) * (1 - sigma_sq)``: the variance
+    bound of a zero-filled entry observed with probability ``p``."""
+    if not (0.0 < sigma_sq <= 1.0):
+        raise ValidationError(f"sigma_sq must lie in (0, 1], got {sigma_sq}")
+    return p * sigma_sq + p * (1.0 - p) * (1.0 - sigma_sq)
 
 
 def threshold_value(n: int, p_hat: float, eta: float, sigma_sq: float | None = None) -> float:
@@ -170,11 +179,7 @@ def threshold_value(n: int, p_hat: float, eta: float, sigma_sq: float | None = N
         raise ValidationError(f"p_hat must lie in [0, 1], got {p_hat}")
     if not (0.0 <= eta < 1.0):
         raise ValidationError(f"eta must lie in [0, 1), got {eta}")
-    rate = p_hat
-    if sigma_sq is not None:
-        if not (0.0 < sigma_sq <= 1.0):
-            raise ValidationError(f"sigma_sq must lie in (0, 1], got {sigma_sq}")
-        rate = p_hat * sigma_sq + p_hat * (1.0 - p_hat) * (1.0 - sigma_sq)
+    rate = p_hat if sigma_sq is None else _variance_rate(p_hat, sigma_sq)
     return (2.0 + eta) * float(np.sqrt(n * rate))
 
 
@@ -185,31 +190,9 @@ def clip_to_interval(a, lo: float, hi: float) -> np.ndarray:
     return np.clip(as_matrix(a), lo, hi)
 
 
-def _thresholded_projection(y: np.ndarray, threshold: float, symmetric: bool):
-    """Sum of ``s_i u_i v_i^T`` over singular values >= threshold.
-
-    For exactly symmetric ``y`` the projection is computed from the
-    eigendecomposition (singular values are |eigenvalues| and the retained
-    projection coincides with the SVD one); this is several times faster
-    than a general SVD at desk scale and keeps the output structurally
-    symmetric. Ties at the threshold are retained.
-    """
-    if symmetric:
-        lam, q = np.linalg.eigh(y)
-        order = np.argsort(-np.abs(lam), kind="stable")
-        s = np.abs(lam)[order]
-        keep = s >= threshold
-        cols = order[keep]
-        proj = (q[:, cols] * lam[cols]) @ q[:, cols].T
-    else:
-        fact = svd(y)
-        s = fact.singular_values
-        keep = s >= threshold
-        proj = (fact.left_vectors[:, keep] * s[keep]) @ fact.right_vectors[:, keep].T
-    return proj, np.flatnonzero(keep)
-
-
 def _validate_observed_range(values, mask, lo, hi):
+    # A function of its own, so that the copy of the observed values is
+    # freed before the zero-filled matrix is built.
     observed = values[mask]
     if observed.size and (observed.min() < lo or observed.max() > hi):
         raise ValidationError(
@@ -218,14 +201,40 @@ def _validate_observed_range(values, mask, lo, hi):
         )
 
 
+def _normalise(data: MaskedMatrix, interval):
+    """Check the interval and that the observed values lie in it; map the
+    observed entries affinely onto [-1, 1] and zero-fill the rest.
+
+    Returns ``(lo, hi, p_hat, y)``; ``y`` is None when nothing is observed.
+    """
+    lo, hi = _check_interval(interval)
+    _validate_observed_range(data.values, data.mask, lo, hi)
+    p_hat = data.observed_fraction()
+    if p_hat == 0.0:
+        return lo, hi, p_hat, None
+    mid = (lo + hi) / 2.0
+    half = (hi - lo) / 2.0
+    return lo, hi, p_hat, np.where(data.mask, (data.values - mid) / half, 0.0)
+
+
+def _restore(w: np.ndarray, p_hat: float, lo: float, hi: float) -> np.ndarray:
+    """Rescale ``w`` by ``1 / p_hat``, clip to [-1, 1], map back onto
+    [lo, hi] and clamp exactly to it."""
+    mid = (lo + hi) / 2.0
+    half = (hi - lo) / 2.0
+    return np.clip(np.clip(w / p_hat, -1.0, 1.0) * half + mid, lo, hi)
+
+
 def usvt_estimate(data: MaskedMatrix, config: EstimatorConfig) -> EstimateReport:
     """Estimate the mean matrix of partially observed bounded data.
 
     Pipeline: map values affinely from the declared interval onto [-1, 1];
     zero-fill unobserved entries; work on the transpose if rows > cols;
-    threshold the spectrum at ``threshold_value`` with n = number of
-    columns; rescale the retained projection by ``1 / p_hat``; clip to
-    [-1, 1]; map back and clamp exactly to the interval.
+    keep the part of the spectrum at or above ``threshold_value`` with
+    n = number of columns (:func:`usvt.linalg.thresholded_part`, through
+    the eigendecomposition in ``SYMMETRIC`` mode); rescale that part by
+    ``1 / p_hat``; clip to [-1, 1]; map back and clamp exactly to the
+    interval.
 
     With no observations at all (p_hat = 0) the midpoint matrix is
     returned with an empty retained set, threshold 0 and ``no_data`` set:
@@ -236,16 +245,10 @@ def usvt_estimate(data: MaskedMatrix, config: EstimatorConfig) -> EstimateReport
         raise ValidationError(
             f"config mode {config.mode.value!r} does not match data mode {data.mode.value!r}"
         )
-    lo, hi = _check_interval(config.interval)
-    _validate_observed_range(data.values, data.mask, lo, hi)
-    mid = (lo + hi) / 2.0
-    half = (hi - lo) / 2.0
-
-    p_hat = data.observed_fraction()
-    rows, cols = data.shape
-    if p_hat == 0.0:
+    lo, hi, p_hat, y = _normalise(data, config.interval)
+    if y is None:
         return EstimateReport(
-            estimate=np.full((rows, cols), mid),
+            estimate=np.full(data.shape, (lo + hi) / 2.0),
             p_hat=0.0,
             q_hat=None,
             threshold=0.0,
@@ -254,20 +257,13 @@ def usvt_estimate(data: MaskedMatrix, config: EstimatorConfig) -> EstimateReport
             no_data=True,
         )
 
-    y = np.where(data.mask, (data.values - mid) / half, 0.0)
-    transposed = rows > cols
+    transposed = y.shape[0] > y.shape[1]
     if transposed:
         y = y.T
-    n = y.shape[1]
-
-    thr = threshold_value(n, p_hat, config.eta, config.sigma_sq)
-    q_hat = None
-    if config.sigma_sq is not None:
-        q_hat = p_hat * config.sigma_sq + p_hat * (1.0 - p_hat) * (1.0 - config.sigma_sq)
-
-    proj, retained = _thresholded_projection(y, thr, symmetric=data.mode is SymmetryMode.SYMMETRIC)
-    w = proj / p_hat
-    estimate = np.clip(np.clip(w, -1.0, 1.0) * half + mid, lo, hi)
+    thr = threshold_value(y.shape[1], p_hat, config.eta, config.sigma_sq)
+    q_hat = None if config.sigma_sq is None else _variance_rate(p_hat, config.sigma_sq)
+    part, k = thresholded_part(y, thr, symmetric=data.mode is SymmetryMode.SYMMETRIC)
+    estimate = _restore(part, p_hat, lo, hi)
     if transposed:
         estimate = estimate.T
     return EstimateReport(
@@ -275,8 +271,8 @@ def usvt_estimate(data: MaskedMatrix, config: EstimatorConfig) -> EstimateReport
         p_hat=p_hat,
         q_hat=q_hat,
         threshold=thr,
-        retained_indices=retained,
-        retained_rank=int(retained.size),
+        retained_indices=np.arange(k),
+        retained_rank=k,
     )
 
 
@@ -288,15 +284,10 @@ def trivial_estimate(data: MaskedMatrix, interval=None) -> np.ndarray:
     with everything observed this is just the data clipped to the interval.
     USVT is only worthwhile where it beats this.
     """
-    lo, hi = _check_interval(interval)
-    _validate_observed_range(data.values, data.mask, lo, hi)
-    mid = (lo + hi) / 2.0
-    half = (hi - lo) / 2.0
-    p_hat = data.observed_fraction()
-    if p_hat == 0.0:
-        return np.full(data.shape, mid)
-    y = np.where(data.mask, (data.values - mid) / half, 0.0)
-    return np.clip(np.clip(y / p_hat, -1.0, 1.0) * half + mid, lo, hi)
+    lo, hi, p_hat, y = _normalise(data, interval)
+    if y is None:
+        return np.full(data.shape, (lo + hi) / 2.0)
+    return _restore(y, p_hat, lo, hi)
 
 
 def denoise_error_constant(delta: float) -> float:
@@ -316,7 +307,9 @@ def denoise_by_threshold(a, b, delta: float) -> np.ndarray:
     """Reconstruct ``b`` from a perturbed copy ``a`` by spectral thresholding.
 
     Keeps the part of ``a``'s SVD with singular values *strictly* above
-    ``(1 + delta) * ||a - b||`` (operator norm). The result ``b_hat``
+    ``(1 + delta) * ||a - b||`` (operator norm), through
+    :func:`usvt.linalg.thresholded_part` with the cut moved up one ulp
+    (a singular value equal to the cut is dropped). The result ``b_hat``
     satisfies the deterministic bound
 
         ``||b_hat - b||_F <= denoise_error_constant(delta)
@@ -332,6 +325,4 @@ def denoise_by_threshold(a, b, delta: float) -> np.ndarray:
     if a.shape != b.shape:
         raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
     gap = spectral_norm(a - b)
-    fact = svd(a)
-    keep = fact.singular_values > (1.0 + delta) * gap
-    return (fact.left_vectors[:, keep] * fact.singular_values[keep]) @ fact.right_vectors[:, keep].T
+    return thresholded_part(a, np.nextafter((1.0 + delta) * gap, np.inf))[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .estimator import EstimatorConfig, MaskedMatrix, SymmetryMode, usvt_estimate
+from .estimator import EstimatorConfig, MaskedMatrix, SymmetryMode, _variance_rate, usvt_estimate
 from .generators import bernoulli_mask, bernoulli_round, sample_upper
 from .linalg import as_matrix, nuclear_norm, spectral_norm
 from .rng import make_rng, mix_seed
@@ -66,6 +66,13 @@ class BoundBracket:
     term_nuclear_variant: float | None = None
 
 
+def _check_size_and_rate(n: int, p: float) -> None:
+    if n < 1:
+        raise ValidationError("n must be positive")
+    if not (0.0 < p <= 1.0):
+        raise ValidationError(f"p must lie in (0, 1], got {p}")
+
+
 def nuclear_bracket(m_matrix, p: float, sigma_sq: float | None = None) -> BoundBracket:
     """Bracket ``min(||M||_* / (m sqrt(n p)), ||M||_*^2 / (m n), 1)``.
 
@@ -75,17 +82,14 @@ def nuclear_bracket(m_matrix, p: float, sigma_sq: float | None = None) -> BoundB
     ``q = p sigma^2 + p (1-p) (1 - sigma^2)`` is reported alongside.
     """
     mat = as_matrix(m_matrix)
-    if not (0.0 < p <= 1.0):
-        raise ValidationError(f"p must lie in (0, 1], got {p}")
     m_side, n_side = sorted(mat.shape)
+    _check_size_and_rate(n_side, p)
     nn = nuclear_norm(mat)
     term_nuclear = nn / (m_side * math.sqrt(n_side * p))
     term_nuclear_sq = nn * nn / (m_side * n_side)
     variant = None
     if sigma_sq is not None:
-        if not (0.0 < sigma_sq <= 1.0):
-            raise ValidationError(f"sigma_sq must lie in (0, 1], got {sigma_sq}")
-        q = p * sigma_sq + p * (1.0 - p) * (1.0 - sigma_sq)
+        q = _variance_rate(p, sigma_sq)
         variant = nn * math.sqrt(q) / (m_side * math.sqrt(n_side) * p)
     return BoundBracket(
         term_nuclear=term_nuclear,
@@ -105,10 +109,7 @@ def distance_bracket(n: int, p: float, covering) -> float:
     covers the optimal ``delta ~ n^{-1/3}`` regime of one-dimensional
     spaces with margin. ``covering`` must be nonincreasing.
     """
-    if n < 1:
-        raise ValidationError("n must be positive")
-    if not (0.0 < p <= 1.0):
-        raise ValidationError(f"p must lie in (0, 1], got {p}")
+    _check_size_and_rate(n, p)
     deltas = np.logspace(-math.log10(n), 0.0, 50)
     counts = np.array([float(covering(d / 4.0)) for d in deltas])
     if (np.diff(counts) > 0).any():
@@ -120,30 +121,23 @@ def distance_bracket(n: int, p: float, covering) -> float:
 def lipschitz_latent_bracket(n: int, p: float, dim: int) -> float:
     """Bracket ``n^{-1/(dim+2)} / sqrt(p)`` for Lipschitz latent-position
     models in ``dim`` latent dimensions."""
-    if n < 1 or dim < 1:
-        raise ValidationError("n and dim must be positive")
-    if not (0.0 < p <= 1.0):
-        raise ValidationError(f"p must lie in (0, 1], got {p}")
+    _check_size_and_rate(n, p)
+    if dim < 1:
+        raise ValidationError("dim must be positive")
     return n ** (-1.0 / (dim + 2)) / math.sqrt(p)
 
 
 def bradley_terry_bracket(n: int, p: float) -> float:
     """Bracket ``n^{-1/4} / sqrt(p)`` for monotone pairwise-comparison
     matrices."""
-    if n < 1:
-        raise ValidationError("n must be positive")
-    if not (0.0 < p <= 1.0):
-        raise ValidationError(f"p must lie in (0, 1], got {p}")
+    _check_size_and_rate(n, p)
     return n ** (-0.25) / math.sqrt(p)
 
 
 def psd_bracket(n: int, p: float) -> float:
     """Bracket ``1 / sqrt(n p)`` for positive semidefinite matrices with
     unit-bounded entries."""
-    if n < 1:
-        raise ValidationError("n must be positive")
-    if not (0.0 < p <= 1.0):
-        raise ValidationError(f"p must lie in (0, 1], got {p}")
+    _check_size_and_rate(n, p)
     return 1.0 / math.sqrt(n * p)
 
 

@@ -23,7 +23,7 @@ import json
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -242,15 +242,20 @@ class ModelSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
         _check_keys(cls, d)
-        return cls(kind=d["kind"], params=d.get("params", {}))
+        return cls(**d)
 
 
-def _check_keys(cls, d: dict) -> None:
-    """Reject a key of ``d`` that names no field of the dataclass ``cls``."""
+def _check_keys(cls, d) -> None:
+    """Reject a non-dict ``d``, and unknown or missing keys of dataclass ``cls``."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
     accepted = [f.name for f in fields(cls)]
     for key in d:
         if key not in accepted:
             raise ValidationError(f"unknown {cls.__name__} key {key!r}; accepted: {accepted}")
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in d:
+            raise ValidationError(f"missing {cls.__name__} key {f.name!r}")
 
 
 @dataclass(frozen=True)
@@ -281,30 +286,14 @@ class ExperimentSpec:
         object.__setattr__(self, "p_grid", p_grid)
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "n_grid": list(self.n_grid),
-            "p_grid": list(self.p_grid),
-            "eta": self.eta,
-            "sigma_sq": self.sigma_sq,
-            "trials": self.trials,
-            "seed": self.seed,
-            "baseline_trivial": self.baseline_trivial,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "model": self.model.to_dict(), "n_grid": list(self.n_grid),
+                "p_grid": list(self.p_grid)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
         _check_keys(cls, d)
-        return cls(
-            model=ModelSpec.from_dict(d["model"]),
-            n_grid=tuple(d["n_grid"]),
-            p_grid=tuple(d["p_grid"]),
-            eta=d.get("eta", 0.01),
-            sigma_sq=d.get("sigma_sq"),
-            trials=d.get("trials", 1),
-            seed=d.get("seed", 0),
-            baseline_trivial=d.get("baseline_trivial", False),
-        )
+        return cls(**{**d, "model": ModelSpec.from_dict(d["model"])})
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ __all__ = [
     "spectral_norm",
     "frobenius_norm",
     "numerical_rank",
+    "thresholded_part",
 ]
 
 #: Relative cutoff (times the largest singular value) below which singular
@@ -76,16 +77,40 @@ def svd(a) -> SvdFactorization:
     return SvdFactorization(s, u, vt.T)
 
 
+def thresholded_part(a, cut: float, symmetric: bool = False) -> tuple[np.ndarray, int]:
+    """``(part, k)``: the sum of ``s_i u_i v_i^T`` over the ``k`` singular
+    values ``s_i >= cut``, always the leading ``k``. For a strict cut
+    ``s_i > c`` pass ``numpy.nextafter(c, inf)``.
+
+    ``symmetric`` asserts, unchecked, that ``a`` is a finite, exactly
+    symmetric float matrix: the part then comes from its eigendecomposition
+    (singular values are |eigenvalues|), several times faster than
+    :func:`svd` and structurally symmetric.
+    """
+    if symmetric:
+        lam, q = np.linalg.eigh(a)
+        order = np.argsort(-np.abs(lam), kind="stable")
+        k = int((np.abs(lam)[order] >= cut).sum())
+        cols = order[:k]
+        return (q[:, cols] * lam[cols]) @ q[:, cols].T, k
+    fact = svd(a)
+    s = fact.singular_values
+    keep = s >= cut
+    return (fact.left_vectors[:, keep] * s[keep]) @ fact.right_vectors[:, keep].T, int(keep.sum())
+
+
+def _singular_values(a) -> np.ndarray:
+    return np.linalg.svd(as_matrix(a), compute_uv=False)
+
+
 def nuclear_norm(a) -> float:
     """Sum of the singular values."""
-    m = as_matrix(a)
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+    return float(_singular_values(a).sum())
 
 
 def spectral_norm(a) -> float:
     """Largest singular value (operator norm)."""
-    m = as_matrix(a)
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    return float(_singular_values(a)[0])
 
 
 def frobenius_norm(a) -> float:
@@ -101,5 +126,5 @@ def numerical_rank(a, tol: float = DEFAULT_RANK_TOL) -> int:
     """
     if tol < 0:
         raise ValidationError("tol must be nonnegative")
-    s = np.linalg.svd(as_matrix(a), compute_uv=False)
+    s = _singular_values(a)
     return int((s > tol * s[0]).sum())

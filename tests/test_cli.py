@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from usvt.cli import main
 
 
@@ -42,6 +44,21 @@ def test_misspelled_config_key_exits_1(tmp_path, capsys):
                        capsys)
     assert code == 1
     assert "trails" in err
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"model": {"kind": "zero"}, "p_grid": [1.0]}, "missing ExperimentSpec key 'n_grid'"),
+    ({"model": {"params": {}}, "n_grid": [8], "p_grid": [1.0]}, "missing ModelSpec key 'kind'"),
+    ([{"model": {"kind": "zero"}, "n_grid": [8], "p_grid": [1.0]}], "must be a JSON object"),
+])
+def test_malformed_config_exits_1(tmp_path, capsys, config, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run(["experiment", "--config", str(path), "--out", str(tmp_path / "r")],
+                       capsys)
+    assert code == 1
+    assert message in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_workers_flag_is_gone(tmp_path, capsys):

@@ -51,6 +51,15 @@ class TestDenoise:
         # No singular value strictly exceeds 2 ||a||.
         assert np.array_equal(out, np.zeros((6, 6)))
 
+    def test_singular_value_equal_to_cut_is_dropped(self):
+        # a has singular values 3 and 1, ||a - b|| = 1 and delta = 2, so the
+        # cut (1 + delta) * ||a - b|| = 3 equals the top singular value.
+        a = np.diag([3.0, 1.0])
+        b = np.diag([3.0, 0.0])
+        assert (1.0 + 2.0) * spectral_norm(a - b) == 3.0
+        assert np.array_equal(denoise_by_threshold(a, b, 2.0), np.zeros((2, 2)))
+        assert np.allclose(denoise_by_threshold(a, b, 1.9), b, atol=1e-12)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             denoise_by_threshold(np.ones((2, 3)), np.ones((3, 2)), 1.0)

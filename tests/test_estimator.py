@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -336,3 +338,48 @@ class TestEstimatorConfig:
             EstimatorConfig(eta=0.01, sigma_sq=0.0)
         with pytest.raises(ValidationError):
             EstimatorConfig(eta=0.01, sigma_sq=1.5)
+
+
+class TestSpectralCut:
+    def test_singular_value_equal_to_threshold_is_kept(self):
+        # With n = 16 and p_hat = 1 the threshold is (2 + eta) * 4, which is
+        # exact, so eta = s / 4 - 2 puts the cut exactly on the top singular
+        # value s (about 10, from a 10 x 10 block of ones).
+        n = 16
+        values = np.zeros((n, n))
+        values[:10, :10] = 1.0
+        data = MaskedMatrix(values, full_mask((n, n)))
+        s = svd(values).singular_values[0]
+        at = EstimatorConfig(eta=s / 4.0 - 2.0)
+        above = EstimatorConfig(eta=np.nextafter(s / 4.0, np.inf) - 2.0)
+        rep = usvt_estimate(data, at)
+        assert rep.threshold == s
+        assert rep.retained_rank == 1
+        assert usvt_estimate(data, above).retained_rank == 0
+
+
+def pinned_input(mode):
+    rng = make_rng(31)
+    m, n = (60, 45) if mode is ASYM else (50, 50)
+    u = rng.uniform(-1, 1, (m, 2))
+    v = u if mode is SYM else rng.uniform(-1, 1, (n, 2))
+    noise = rng.uniform(-0.5, 0.5, (m, n))
+    mask = rng.random((m, n)) < 0.7
+    if mode is SYM:
+        noise, mask = noise + noise.T, mask | mask.T
+    values = np.clip(u @ v.T + noise, -1.0, 1.0)
+    return MaskedMatrix(np.where(mask, values, 0.0), mask, mode)
+
+
+@pytest.mark.parametrize("mode, digest", [
+    (ASYM, "1307eaf8eaa277fe07abed7cff856bd3816146f48c5413a36f880a819052fcdd"),
+    (SYM, "db10f19ceac3b9a56a9519c49d5f0ea0ed45b6b8712f4e45d8eb2d47a2e5c2c3"),
+], ids=["asym", "sym"])
+def test_estimate_bytes_pinned(mode, digest):
+    # A change to the estimator's arithmetic (the order of the rescale and
+    # clips, the decomposition call, the retained set) shows as a new
+    # digest. The digests were recorded on x86-64 with numpy 2.4 and
+    # OpenBLAS 0.3.31; another LAPACK may round differently.
+    rep = usvt_estimate(pinned_input(mode), EstimatorConfig(eta=0.01, mode=mode))
+    assert rep.retained_rank == 1
+    assert hashlib.sha256(rep.estimate.tobytes()).hexdigest() == digest

@@ -203,6 +203,23 @@ class TestSimpleBrackets:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert vals[0] > vals[-1]
 
+    @pytest.mark.parametrize("bracket, args", [
+        (lipschitz_latent_bracket, (0, 0.5, 1)),
+        (lipschitz_latent_bracket, (10, 0.0, 1)),
+        (lipschitz_latent_bracket, (10, 0.5, 0)),
+        (bradley_terry_bracket, (0, 0.5)),
+        (bradley_terry_bracket, (10, 1.5)),
+        (psd_bracket, (0, 0.5)),
+        (psd_bracket, (10, -0.1)),
+        (distance_bracket, (0, 0.5, lambda d: 1)),
+        (distance_bracket, (10, 0.0, lambda d: 1)),
+        (nuclear_bracket, (np.ones((3, 3)), 0.0)),
+        (nuclear_bracket, (np.ones((3, 3)), 0.5, 1.5)),
+    ])
+    def test_out_of_range_arguments_rejected(self, bracket, args):
+        with pytest.raises(ValidationError):
+            bracket(*args)
+
 
 class TestRateFit:
     def test_exact_power_law(self):

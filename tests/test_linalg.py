@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from usvt.errors import ValidationError
 from usvt.linalg import (
@@ -10,6 +10,7 @@ from usvt.linalg import (
     numerical_rank,
     spectral_norm,
     svd,
+    thresholded_part,
 )
 from usvt.rng import make_rng
 
@@ -175,3 +176,51 @@ def test_as_matrix_preserves_values():
     out = as_matrix(a)
     assert out.dtype == np.float64
     assert np.array_equal(out, np.array(a))
+
+
+def svd_oracle_part(a, cut):
+    """Sum of ``s_i u_i v_i^T`` over ``s_i >= cut``, straight from numpy."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    keep = s >= cut
+    return (u[:, keep] * s[keep]) @ vt[keep], int(keep.sum())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    shape=st.sampled_from(["tall", "wide", "square", "symmetric"]),
+    position=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_thresholded_part_matches_svd_oracle(seed, shape, position):
+    rng = make_rng(seed)
+    m = int(rng.integers(2, 13))
+    n = {"tall": int(rng.integers(1, m)), "wide": int(rng.integers(m + 1, 16))}.get(shape, m)
+    r = int(rng.integers(1, min(m, n) + 1))
+    a = rng.uniform(-1, 1, (m, r)) @ rng.uniform(-1, 1, (r, n)) + 0.1 * rng.uniform(-1, 1, (m, n))
+    if shape == "symmetric":
+        a = (a + a.T) / 2.0
+    s = np.linalg.svd(a, compute_uv=False)
+    # The cut lies above s[0], midway below s[-1] or midway between two
+    # neighbours; a gap of at least 1e-3 keeps both the retained count and
+    # the eigendecomposition's subspace well defined.
+    j = min(int(position * (s.size + 1)), s.size)
+    upper = s[j - 1] if j else 2.0 * s[0] + 1.0
+    lower = s[j] if j < s.size else 0.0
+    assume(upper - lower >= 1e-3)
+    cut = (upper + lower) / 2.0
+    part, k = thresholded_part(a, cut, symmetric=shape == "symmetric")
+    expected, expected_k = svd_oracle_part(a, cut)
+    assert k == expected_k == j
+    assert part.shape == a.shape
+    assert np.abs(part - expected).max() <= 1e-10
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_thresholded_part_keeps_a_singular_value_equal_to_the_cut(symmetric):
+    a = np.diag([3.0, -1.0, 0.5])
+    part, k = thresholded_part(a, 1.0, symmetric=symmetric)
+    assert k == 2
+    assert np.abs(part - np.diag([3.0, -1.0, 0.0])).max() <= 1e-12
+    part, k = thresholded_part(a, np.nextafter(1.0, np.inf), symmetric=symmetric)
+    assert k == 1
+    assert np.abs(part - np.diag([3.0, 0.0, 0.0])).max() <= 1e-12
