@@ -8,6 +8,10 @@ Subcommands:
   run a grid sweep and write PREFIX.json / PREFIX.csv reports.
 - ``usvt check --suite all``: run the property batteries.
 
+A flag that is not given is not passed, so the defaults live in the library,
+except the inline sweep's ``--n-grid 100`` and ``--p-grid 1.0``. Inline
+``experiment`` flags build the dict a ``--config`` file holds.
+
 Exit codes: 0 success, 1 validation error (bad flags, malformed or
 out-of-range input), 2 property failure, 3 I/O error.
 """
@@ -22,8 +26,8 @@ from .checks import CHECK_NAMES, check_suite
 from .errors import ValidationError
 from .estimator import SymmetryMode
 from .harness import (
+    DEFAULT_ETA,
     ExperimentSpec,
-    ModelSpec,
     estimate_file,
     run_experiment,
     write_report_csv,
@@ -40,56 +44,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    est = sub.add_parser("estimate", help="estimate the mean matrix of a CSV file")
+    def add_command(name, func, help):
+        # A flag left out is absent from the namespace: the library's default applies.
+        command = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        command.set_defaults(func=func)
+        return command
+
+    est = add_command("estimate", _cmd_estimate, "estimate the mean matrix of a CSV file")
     est.add_argument("input", help="CSV matrix; missing entries marked NA")
     est.add_argument("--out", required=True, help="output CSV path for the estimate")
-    est.add_argument("--report", default=None, help="JSON diagnostics path")
-    est.add_argument("--eta", type=float, default=0.01, help="threshold slack (default 0.01)")
-    est.add_argument("--sigma-sq", type=float, default=None, help="known variance bound in (0, 1]")
-    est.add_argument("--interval", type=float, nargs=2, metavar=("A", "B"), default=None,
+    est.add_argument("--report", dest="report_path", metavar="REPORT",
+                     help="JSON diagnostics path")
+    est.add_argument("--eta", type=float, help=f"threshold slack (default {DEFAULT_ETA})")
+    est.add_argument("--sigma-sq", type=float, help="known variance bound in (0, 1]")
+    est.add_argument("--interval", type=float, nargs=2, metavar=("A", "B"),
                      help="known value range (default -1 1)")
-    est.add_argument("--mode", choices=[m.value for m in SymmetryMode], default="asym")
+    est.add_argument("--mode", type=SymmetryMode,
+                     metavar="{" + ",".join(m.value for m in SymmetryMode) + "}")
     est.add_argument("--header", action="store_true", help="input has a header row")
-    est.set_defaults(func=_cmd_estimate)
 
-    exp = sub.add_parser("experiment", help="run a grid-sweep experiment")
-    exp.add_argument("--config", default=None, help="JSON ExperimentSpec file")
-    exp.add_argument("--model", default=None, help="model kind (inline alternative to --config)")
-    exp.add_argument("--model-param", action="append", default=[], metavar="KEY=VALUE",
+    exp = add_command("experiment", _cmd_experiment, "run a grid-sweep experiment")
+    exp.add_argument("--config", help="JSON ExperimentSpec file")
+    exp.add_argument("--model", help="model kind (inline alternative to --config)")
+    exp.add_argument("--model-param", action="append", metavar="KEY=VALUE",
                      help="model parameter, repeatable; values parsed as JSON when possible")
-    exp.add_argument("--n-grid", type=int, nargs="+", default=[100], help="matrix sizes")
-    exp.add_argument("--p-grid", type=float, nargs="+", default=[1.0],
-                     help="observation probabilities")
-    exp.add_argument("--eta", type=float, default=0.01)
-    exp.add_argument("--sigma-sq", type=float, default=None)
-    exp.add_argument("--trials", type=int, default=1)
-    exp.add_argument("--seed", type=int, default=0)
+    exp.add_argument("--n-grid", type=int, nargs="+", help="matrix sizes")
+    exp.add_argument("--p-grid", type=float, nargs="+", help="observation probabilities")
+    exp.add_argument("--eta", type=float)
+    exp.add_argument("--sigma-sq", type=float)
+    exp.add_argument("--trials", type=int)
+    exp.add_argument("--seed", type=int)
     exp.add_argument("--baseline-trivial", action="store_true",
                      help="also score the observed matrix itself")
     exp.add_argument("--out", required=True, help="report path prefix (writes .json and .csv)")
-    exp.set_defaults(func=_cmd_experiment)
 
-    chk = sub.add_parser("check", help="run property batteries")
-    chk.add_argument("--suite", action="append", default=None,
+    chk = add_command("check", _cmd_check, "run property batteries")
+    chk.add_argument("--suite", dest="selectors", action="append",
                      choices=("all",) + CHECK_NAMES,
                      help="battery to run, repeatable (default: all)")
-    chk.add_argument("--seed", type=int, default=727)
-    chk.set_defaults(func=_cmd_check)
+    chk.add_argument("--seed", type=int)
     return parser
 
 
-def _cmd_estimate(args) -> int:
-    interval = tuple(args.interval) if args.interval is not None else None
-    report, diagnostics = estimate_file(
-        args.input,
-        args.out,
-        args.report,
-        eta=args.eta,
-        sigma_sq=args.sigma_sq,
-        interval=interval,
-        mode=SymmetryMode.parse(args.mode),
-        header=args.header,
-    )
+def _cmd_estimate(input, out, **given) -> int:
+    _, diagnostics = estimate_file(input, out, **given)
     print(json.dumps(diagnostics, sort_keys=True))
     return 0
 
@@ -107,26 +105,26 @@ def _parse_model_params(pairs) -> dict:
     return params
 
 
-def _cmd_experiment(args) -> int:
-    if (args.config is None) == (args.model is None):
+def _cmd_experiment(out, config=None, model=None, **given) -> int:
+    if (config is None) == (model is None):
         raise ValidationError("provide exactly one of --config or --model")
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            spec = ExperimentSpec.from_dict(json.load(fh))
+    if config is not None:
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise ValidationError(f"--config takes no spec flags, got {flags}")
+        with open(config, "r", encoding="utf-8") as fh:
+            try:
+                d = json.load(fh)
+            except ValueError as exc:
+                raise ValidationError(f"{config} is not valid JSON: {exc}") from None
     else:
-        spec = ExperimentSpec(
-            model=ModelSpec(kind=args.model, params=_parse_model_params(args.model_param)),
-            n_grid=tuple(args.n_grid),
-            p_grid=tuple(args.p_grid),
-            eta=args.eta,
-            sigma_sq=args.sigma_sq,
-            trials=args.trials,
-            seed=args.seed,
-            baseline_trivial=args.baseline_trivial,
-        )
+        params = _parse_model_params(given.pop("model_param", []))
+        d = {"model": {"kind": model, "params": params}, "n_grid": [100], "p_grid": [1.0],
+             **given}
+    spec = ExperimentSpec.from_dict(d)
     report = run_experiment(spec)
-    write_report_json(report, args.out + ".json")
-    write_report_csv(report, args.out + ".csv")
+    write_report_json(report, out + ".json")
+    write_report_csv(report, out + ".csv")
     failures = [c for c in report.cells if c.failure is not None]
     for cell in report.cells:
         if cell.failure is None:
@@ -134,14 +132,13 @@ def _cmd_experiment(args) -> int:
                   f"rank={cell.mean_retained_rank:.2f}")
         else:
             print(f"n={cell.n} p={cell.p} FAILED: {cell.failure}")
-    print(f"wrote {args.out}.json and {args.out}.csv "
+    print(f"wrote {out}.json and {out}.csv "
           f"({len(report.cells) - len(failures)}/{len(report.cells)} cells completed)")
     return 0
 
 
-def _cmd_check(args) -> int:
-    selectors = tuple(args.suite) if args.suite else ("all",)
-    report = check_suite(selectors, seed=args.seed)
+def _cmd_check(**given) -> int:
+    report = check_suite(**given)
     for line in report.summary_lines():
         print(line)
     return 0 if report.ok else 2
@@ -155,8 +152,11 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; map to the validation code,
         # keep 0 for --help.
         return 0 if exc.code in (0, None) else 1
+    given = vars(args)
+    del given["command"]
+    func = given.pop("func")
     try:
-        return args.func(args)
+        return func(**given)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

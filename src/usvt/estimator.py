@@ -46,13 +46,6 @@ class SymmetryMode(enum.Enum):
     SYMMETRIC = "sym"
     SKEW_SYMMETRIC = "skew"
 
-    @classmethod
-    def parse(cls, text: str) -> "SymmetryMode":
-        for mode in cls:
-            if mode.value == text:
-                return mode
-        raise ValidationError(f"unknown symmetry mode {text!r}")
-
 
 def _check_interval(interval) -> tuple[float, float]:
     if interval is None:

@@ -155,7 +155,6 @@ def low_rank_lower_bound(m: int, r: int, p: float) -> float:
 def bootstrap_mse(
     estimate,
     p: float,
-    mode: SymmetryMode,
     config: EstimatorConfig,
     k: int,
     seed: int,
@@ -167,7 +166,8 @@ def bootstrap_mse(
 
     ``resample`` must be declared by the caller: ``"bernoulli"`` rounds the
     estimate to {0, 1} data (entries must lie in [0, 1]); ``"exact"``
-    observes the estimate's own entries. Masks are Bernoulli(p).
+    observes the estimate's own entries. Masks are Bernoulli(p), drawn in
+    ``config.mode``.
 
     Caveat: this is an assumption-dependent diagnostic, not a guarantee.
     No data-driven procedure can reliably certify whether a non-trivial
@@ -180,8 +180,6 @@ def bootstrap_mse(
         raise ValidationError("k must be >= 1")
     if not (0.0 <= p <= 1.0):
         raise ValidationError(f"p must lie in [0, 1], got {p}")
-    if mode is not config.mode:
-        raise ValidationError("mode must match config.mode")
     if resample not in ("bernoulli", "exact"):
         raise ValidationError(f"unknown resample model {resample!r}")
     rows, cols = est.shape
@@ -189,11 +187,11 @@ def bootstrap_mse(
     for i in range(k):
         child = mix_seed(seed, i)
         if resample == "bernoulli":
-            x = bernoulli_round(est, mode, mix_seed(child, 0))
+            x = bernoulli_round(est, config.mode, mix_seed(child, 0))
         else:
             x = est
-        mask = bernoulli_mask(rows, cols, p, mode, mix_seed(child, 1))
-        data = MaskedMatrix(values=np.where(mask, x, 0.0), mask=mask, mode=mode)
+        mask = bernoulli_mask(rows, cols, p, config.mode, mix_seed(child, 1))
+        data = MaskedMatrix(values=np.where(mask, x, 0.0), mask=mask, mode=config.mode)
         replica = usvt_estimate(data, config).estimate
         total += mse(replica, est)
     return total / k

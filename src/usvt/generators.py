@@ -420,8 +420,7 @@ def gen_minimax_instance(m: int, n: int, delta: float, p: float, seed: int) -> M
             # floor-arithmetic guarantees k * copies <= m except in the
             # rank-one regime at very small p; never overflow the rows.
             copies = min(copies, m // k)
-            for c in range(copies):
-                out[c * k:(c + 1) * k] = block
+            out[:copies * k] = np.tile(block, (copies, 1))
     return MinimaxInstance(m_matrix=out, nuclear_budget=delta, observed_p=p)
 
 
@@ -434,8 +433,7 @@ def gen_low_rank_adversary(m: int, n: int, r: int, seed: int) -> np.ndarray:
     rng = make_rng(seed)
     block = rng.uniform(-1.0, 1.0, (r, n))
     out = np.zeros((m, n))
-    for c in range(m // r):
-        out[c * r:(c + 1) * r] = block
+    out[:m // r * r] = np.tile(block, (m // r, 1))
     return out
 
 

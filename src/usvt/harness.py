@@ -23,7 +23,7 @@ import json
 import math
 import time
 from collections.abc import Callable
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .estimator import (
     usvt_estimate,
 )
 from .evaluation import (
-    RateFit,
     bradley_terry_bracket,
     distance_bracket,
     lipschitz_latent_bracket,
@@ -82,6 +81,9 @@ __all__ = [
 
 ASYM = SymmetryMode.ASYMMETRIC
 SYM = SymmetryMode.SYMMETRIC
+
+#: Threshold slack of :func:`estimate_file` and :class:`ExperimentSpec` when none is given.
+DEFAULT_ETA = 0.01
 
 #: Default of a parameter that has none: the caller must give it.
 REQUIRED = object()
@@ -221,9 +223,11 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        family = FAMILIES.get(self.kind)
+        family = FAMILIES.get(self.kind) if isinstance(self.kind, str) else None
         if family is None:
             raise ValidationError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
+        if not isinstance(self.params, dict):
+            raise ValidationError(f"params must be an object, got {self.params!r}")
         object.__setattr__(self, "params", dict(self.params))
         bad = [f"unknown parameter {k!r}" for k in self.params if k not in family.params]
         bad += [f"missing parameter {k!r}" for k, v in family.params.items()
@@ -235,9 +239,6 @@ class ModelSpec:
     def settings(self) -> dict:
         """The parameters with the family's defaults filled in."""
         return {**FAMILIES[self.kind].params, **self.params}
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
@@ -258,37 +259,55 @@ def _check_keys(cls, d) -> None:
             raise ValidationError(f"missing {cls.__name__} key {f.name!r}")
 
 
+def _convert(name, value, kind):
+    """``kind(value)``, or a :class:`ValidationError` naming field ``name``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be {kind.__name__}, got {value!r}") from None
+
+
+def _convert_grid(name, values, kind):
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ValidationError(f"{name} must be a nonempty list, got {values!r}")
+    return tuple(_convert(name, v, kind) for v in values)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Grid sweep description; see module docstring for seed semantics."""
+    """Grid sweep description; see module docstring for seed semantics. Each
+    field is converted to its type (a grid must be a list); a value that does
+    not convert or is out of range raises :class:`ValidationError` naming it."""
 
     model: ModelSpec
     n_grid: tuple
     p_grid: tuple
-    eta: float = 0.01
+    eta: float = DEFAULT_ETA
     sigma_sq: float | None = None
     trials: int = 1
     seed: int = 0
     baseline_trivial: bool = False
 
     def __post_init__(self):
-        n_grid = tuple(int(n) for n in self.n_grid)
-        p_grid = tuple(float(p) for p in self.p_grid)
-        if not n_grid or not p_grid:
-            raise ValidationError("n_grid and p_grid must be nonempty")
-        if any(n < 1 for n in n_grid):
-            raise ValidationError("matrix sizes must be positive")
-        if any(not 0.0 <= p <= 1.0 for p in p_grid):
-            raise ValidationError("observation probabilities must lie in [0, 1]")
+        object.__setattr__(self, "n_grid", _convert_grid("n_grid", self.n_grid, int))
+        object.__setattr__(self, "p_grid", _convert_grid("p_grid", self.p_grid, float))
+        for name, kind in (("eta", float), ("trials", int), ("seed", int)):
+            object.__setattr__(self, name, _convert(name, getattr(self, name), kind))
+        if self.sigma_sq is not None:
+            object.__setattr__(self, "sigma_sq", _convert("sigma_sq", self.sigma_sq, float))
+        if not isinstance(self.baseline_trivial, bool):
+            raise ValidationError(
+                f"baseline_trivial must be a bool, got {self.baseline_trivial!r}")
+        if any(n < 1 for n in self.n_grid):
+            raise ValidationError("n_grid: matrix sizes must be positive")
+        if any(not 0.0 <= p <= 1.0 for p in self.p_grid):
+            raise ValidationError("p_grid: observation probabilities must lie in [0, 1]")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
-        object.__setattr__(self, "n_grid", n_grid)
-        object.__setattr__(self, "p_grid", p_grid)
+        EstimatorConfig(eta=self.eta, sigma_sq=self.sigma_sq)
 
     def to_dict(self) -> dict:
-        return {**{f.name: getattr(self, f.name) for f in fields(self)},
-                "model": self.model.to_dict(), "n_grid": list(self.n_grid),
-                "p_grid": list(self.p_grid)}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
@@ -406,18 +425,6 @@ _CELL_FIELDS = (
 )
 
 
-def _fit_to_dict(fit: RateFit | None):
-    if fit is None:
-        return None
-    return {
-        "ns": list(fit.ns),
-        "mses": list(fit.mses),
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-    }
-
-
 def report_to_dict(report: ExperimentReport) -> dict:
     """Canonical JSON structure (schema 1). Excludes wall times so that
     identical runs serialize to identical bytes."""
@@ -425,7 +432,7 @@ def report_to_dict(report: ExperimentReport) -> dict:
         "schema": 1,
         "spec": report.spec.to_dict(),
         "cells": [{col: getattr(c, col) for col in _CELL_FIELDS} for c in report.cells],
-        "rate_fits": {key: _fit_to_dict(fit) for key, fit in report.rate_fits.items()},
+        "rate_fits": {k: None if f is None else asdict(f) for k, f in report.rate_fits.items()},
     }
 
 
@@ -460,7 +467,7 @@ def estimate_file(
     out_path,
     report_path=None,
     *,
-    eta: float = 0.01,
+    eta: float = DEFAULT_ETA,
     sigma_sq: float | None = None,
     interval=None,
     mode: SymmetryMode = SymmetryMode.ASYMMETRIC,

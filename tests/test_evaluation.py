@@ -255,16 +255,14 @@ class TestBootstrap:
         return EstimatorConfig(eta=0.01, interval=interval, mode=mode)
 
     def test_zero_estimate_noiseless(self):
-        out = bootstrap_mse(np.zeros((12, 12)), 0.7, SymmetryMode.ASYMMETRIC,
-                            self.config(), k=4, seed=11, resample="exact")
+        out = bootstrap_mse(np.zeros((12, 12)), 0.7, self.config(), k=4, seed=11, resample="exact")
         assert out == 0.0
 
     def test_k_one_is_single_discrepancy(self):
         est = gen_low_rank(15, 15, 2, seed=12) * 0.5 + 0.5  # entries in [0, 1]
         config = self.config(interval=(0.0, 1.0))
         seed = 13
-        got = bootstrap_mse(est, 0.8, SymmetryMode.ASYMMETRIC, config, k=1,
-                            seed=seed, resample="bernoulli")
+        got = bootstrap_mse(est, 0.8, config, k=1, seed=seed, resample="bernoulli")
         # replicate by hand with the documented child-seed derivation
         child = mix_seed(seed, 0)
         x = bernoulli_round(est, SymmetryMode.ASYMMETRIC, mix_seed(child, 0))
@@ -275,13 +273,11 @@ class TestBootstrap:
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValidationError):
-            bootstrap_mse(np.zeros((4, 4)), 0.5, SymmetryMode.ASYMMETRIC,
-                          self.config(), k=0, seed=1, resample="exact")
+            bootstrap_mse(np.zeros((4, 4)), 0.5, self.config(), k=0, seed=1, resample="exact")
 
     def test_unknown_resampler(self):
         with pytest.raises(ValidationError):
-            bootstrap_mse(np.zeros((4, 4)), 0.5, SymmetryMode.ASYMMETRIC,
-                          self.config(), k=1, seed=1, resample="jackknife")
+            bootstrap_mse(np.zeros((4, 4)), 0.5, self.config(), k=1, seed=1, resample="jackknife")
 
     def test_blockmodel_factor_guard(self):
         # Regression guard: on an easy blockmodel the bootstrap lands
@@ -302,7 +298,7 @@ class TestBootstrap:
             d = MaskedMatrix(np.where(mask_t, adj_t, 0.0), mask_t, SYM)
             true_mses.append(mse(usvt_estimate(d, config).estimate, truth))
         true_mse = float(np.mean(true_mses))
-        boot = bootstrap_mse(est, p, SYM, config, k=20, seed=600, resample="bernoulli")
+        boot = bootstrap_mse(est, p, config, k=20, seed=600, resample="bernoulli")
         assert true_mse / 3.0 <= boot <= true_mse * 3.0
 
 

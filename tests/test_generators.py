@@ -452,6 +452,10 @@ def _played(p, seed):
     return data.values, data.mask
 
 
+def _minimax(theta, p, seed):
+    return (gen_minimax_instance(13, 11, theta * 13 * math.sqrt(11), p, seed).m_matrix,)
+
+
 _PROBS = np.array([[0.9, 0.2, 0.4], [0.2, 0.7, 0.1], [0.4, 0.1, 0.6]])
 _UNIT = make_rng(7).random((13, 13))
 
@@ -502,6 +506,25 @@ _PINNED = {
     "round_skew": (
         lambda: (bernoulli_round(_UNIT, SKEW, seed=111),),
         "4efb9106c251cc8d43dac14dd249dba22306e58cfe7ad77f7b1b3bb8b12553da",
+    ),
+    "low_rank_adversary": (
+        lambda: (gen_low_rank_adversary(13, 11, 3, seed=112),),
+        "041204b92e21e2fc13d5c934c64f05a824b15697a6ea509a32cd986937b48c2e",
+    ),
+    # The three regimes of gen_minimax_instance: k = m*theta*sqrt(p) >= 1
+    # rows copied; a single row of amplitude < 1 copied up to m times; and
+    # theta > sqrt(p), m*p rows copied.
+    "minimax_block_copies": (
+        lambda: _minimax(0.4, 0.3, 113),
+        "499db4fd94b38824f112a092fa806c4d7f5430cd9fb1e3813478d3d41eaca6c1",
+    ),
+    "minimax_rank_one": (
+        lambda: _minimax(0.1, 0.05, 114),
+        "481b83c732116542a01b727d04b661c2112d203085b79f64fe26f8b5ff32598c",
+    ),
+    "minimax_dense_rows": (
+        lambda: _minimax(0.8, 0.3, 115),
+        "e21884680748ec85e42def8f04f934edf3a51500c5f5d6875a3c70638ef68878",
     ),
 }
 
