@@ -17,7 +17,6 @@ from .estimator import (
     EstimatorConfig,
     MaskedMatrix,
     SymmetryMode,
-    clip_to_interval,
     denoise_by_threshold,
     denoise_error_constant,
     threshold_value,
@@ -27,7 +26,6 @@ from .estimator import (
 from .evaluation import (
     BoundBracket,
     RateFit,
-    bootstrap_mse,
     bradley_terry_bracket,
     distance_bracket,
     lipschitz_latent_bracket,
@@ -46,7 +44,6 @@ from .generators import (
     TournamentModel,
     bernoulli_mask,
     bernoulli_round,
-    correlation_from_factors,
     gen_blockmodel,
     gen_bradley_terry,
     gen_correlation_matrix,
@@ -106,11 +103,8 @@ __all__ = [
     "ValidationError",
     "bernoulli_mask",
     "bernoulli_round",
-    "bootstrap_mse",
     "bradley_terry_bracket",
     "check_suite",
-    "clip_to_interval",
-    "correlation_from_factors",
     "denoise_by_threshold",
     "denoise_error_constant",
     "distance_bracket",

@@ -31,7 +31,6 @@ __all__ = [
     "EstimatorConfig",
     "EstimateReport",
     "threshold_value",
-    "clip_to_interval",
     "usvt_estimate",
     "trivial_estimate",
     "denoise_by_threshold",
@@ -174,13 +173,6 @@ def threshold_value(n: int, p_hat: float, eta: float, sigma_sq: float | None = N
         raise ValidationError(f"eta must lie in [0, 1), got {eta}")
     rate = p_hat if sigma_sq is None else _variance_rate(p_hat, sigma_sq)
     return (2.0 + eta) * float(np.sqrt(n * rate))
-
-
-def clip_to_interval(a, lo: float, hi: float) -> np.ndarray:
-    """Entrywise ``min(hi, max(lo, x))``; exact clamp, no epsilon."""
-    if not lo < hi:
-        raise ValidationError(f"interval must satisfy a < b, got ({lo}, {hi})")
-    return np.clip(as_matrix(a), lo, hi)
 
 
 def _validate_observed_range(values, mask, lo, hi):

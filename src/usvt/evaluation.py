@@ -1,4 +1,4 @@
-"""Error metrics, rate brackets, bootstrap diagnostics and concentration checks.
+"""Error metrics, rate brackets and concentration checks.
 
 A "bracket" is a theoretical error-rate expression with its unspecified
 constants stripped: useful for log-log slope comparisons against empirical
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .estimator import EstimatorConfig, MaskedMatrix, SymmetryMode, _variance_rate, usvt_estimate
-from .generators import bernoulli_mask, bernoulli_round, sample_upper
+from .estimator import SymmetryMode, _variance_rate
+from .generators import sample_upper
 from .linalg import as_matrix, nuclear_norm, spectral_norm
 from .rng import make_rng, mix_seed
 
@@ -29,7 +29,6 @@ __all__ = [
     "bradley_terry_bracket",
     "psd_bracket",
     "low_rank_lower_bound",
-    "bootstrap_mse",
     "ENTRY_DISTRIBUTIONS",
     "spectral_concentration_trial",
     "rate_fit",
@@ -152,51 +151,6 @@ def low_rank_lower_bound(m: int, r: int, p: float) -> float:
     return (1.0 - p) ** (m // r)
 
 
-def bootstrap_mse(
-    estimate,
-    p: float,
-    config: EstimatorConfig,
-    k: int,
-    seed: int,
-    resample: str,
-) -> float:
-    """Parametric-bootstrap MSE estimate: treat ``estimate`` as the truth,
-    regenerate data ``k`` times, re-estimate, average the per-entry squared
-    Frobenius discrepancy.
-
-    ``resample`` must be declared by the caller: ``"bernoulli"`` rounds the
-    estimate to {0, 1} data (entries must lie in [0, 1]); ``"exact"``
-    observes the estimate's own entries. Masks are Bernoulli(p), drawn in
-    ``config.mode``.
-
-    Caveat: this is an assumption-dependent diagnostic, not a guarantee.
-    No data-driven procedure can reliably certify whether a non-trivial
-    estimator's true error is small — the bootstrap value is only
-    trustworthy when the original estimate is already known to be accurate
-    (e.g. from a nuclear-norm bound on the truth).
-    """
-    est = as_matrix(estimate)
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if not (0.0 <= p <= 1.0):
-        raise ValidationError(f"p must lie in [0, 1], got {p}")
-    if resample not in ("bernoulli", "exact"):
-        raise ValidationError(f"unknown resample model {resample!r}")
-    rows, cols = est.shape
-    total = 0.0
-    for i in range(k):
-        child = mix_seed(seed, i)
-        if resample == "bernoulli":
-            x = bernoulli_round(est, config.mode, mix_seed(child, 0))
-        else:
-            x = est
-        mask = bernoulli_mask(rows, cols, p, config.mode, mix_seed(child, 1))
-        data = MaskedMatrix(values=np.where(mask, x, 0.0), mask=mask, mode=config.mode)
-        replica = usvt_estimate(data, config).estimate
-        total += mse(replica, est)
-    return total / k
-
-
 def _rademacher(rng, size):
     return rng.integers(0, 2, size) * 2.0 - 1.0
 
@@ -210,7 +164,7 @@ ENTRY_DISTRIBUTIONS = {
 
 def spectral_concentration_trial(
     n: int,
-    dist,
+    dist: str,
     mode: SymmetryMode,
     eta: float,
     trials: int,
@@ -219,20 +173,16 @@ def spectral_concentration_trial(
     """Fraction of random n x n matrices with spectral norm at most
     ``(2 + eta) * sigma * sqrt(n)``.
 
-    ``dist`` is a name from :data:`ENTRY_DISTRIBUTIONS` or a
-    ``(sampler, sigma_sq)`` pair where ``sampler(rng, size)`` draws bounded
-    zero-mean entries with variance at most ``sigma_sq``. Requires
-    ``sigma_sq >= n^{-0.9}``, the regime in which the exceedance
-    probability is exponentially small.
+    ``dist`` is a name from :data:`ENTRY_DISTRIBUTIONS`, whose entries have
+    variance ``sigma^2``. Requires ``sigma^2 >= n^{-0.9}``, the regime in
+    which the exceedance probability is exponentially small.
     """
     if n < 1 or trials < 1:
         raise ValidationError("n and trials must be positive")
-    if isinstance(dist, str):
-        if dist not in ENTRY_DISTRIBUTIONS:
-            raise ValidationError(f"unknown entry distribution {dist!r}")
-        sampler, sigma_sq = ENTRY_DISTRIBUTIONS[dist]
-    else:
-        sampler, sigma_sq = dist
+    if not isinstance(dist, str) or dist not in ENTRY_DISTRIBUTIONS:
+        raise ValidationError(
+            f"unknown entry distribution {dist!r}; choose from {sorted(ENTRY_DISTRIBUTIONS)}")
+    sampler, sigma_sq = ENTRY_DISTRIBUTIONS[dist]
     if sigma_sq < n ** (-0.9):
         raise ValidationError(f"variance bound {sigma_sq} below n^-0.9; out of regime")
     bound = (2.0 + eta) * math.sqrt(sigma_sq) * math.sqrt(n)

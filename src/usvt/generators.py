@@ -33,7 +33,6 @@ __all__ = [
     "gen_distance_matrix",
     "uniform_points",
     "gen_latent_space",
-    "correlation_from_factors",
     "gen_correlation_matrix",
     "gen_graphon",
     "gen_bradley_terry",
@@ -270,28 +269,18 @@ def gen_latent_space(n: int, dim: int, f, seed: int):
     return m, betas
 
 
-def correlation_from_factors(u) -> np.ndarray:
-    """Correlation matrix ``u u^T`` with the diagonal reset to 1.
+def gen_correlation_matrix(n: int, seed: int) -> np.ndarray:
+    """Random correlation matrix ``m_ij = u_i u_j`` (i != j), unit diagonal,
+    with ``u_i`` uniform on [0, 1].
 
-    Equals ``u u^T + diag(1 - u_i^2)``, hence positive semidefinite for
-    any ``u`` with entries in [-1, 1].
+    Equals ``u u^T + diag(1 - u_i^2)``, hence positive semidefinite.
     """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or u.size < 1:
-        raise ValidationError("u must be a nonempty vector")
-    if np.abs(u).max() > 1.0:
-        raise ValidationError("factor entries must lie in [-1, 1]")
+    if n < 1:
+        raise ValidationError("n must be positive")
+    u = make_rng(seed).random(n)
     m = np.outer(u, u)
     np.fill_diagonal(m, 1.0)
     return m
-
-
-def gen_correlation_matrix(n: int, seed: int) -> np.ndarray:
-    """Random correlation matrix ``m_ij = u_i u_j`` (i != j), unit diagonal,
-    with ``u_i`` uniform on [0, 1]."""
-    if n < 1:
-        raise ValidationError("n must be positive")
-    return correlation_from_factors(make_rng(seed).random(n))
 
 
 def gen_graphon(n: int, f, seed: int) -> GraphonSample:

@@ -260,9 +260,16 @@ def _check_keys(cls, d) -> None:
 
 
 def _convert(name, value, kind):
-    """``kind(value)``, or a :class:`ValidationError` naming field ``name``."""
+    """``kind(value)`` for ``kind`` int or float, or a :class:`ValidationError`
+    naming field ``name``. A bool is not a number, and an int field takes
+    only an integral value: ``2.5`` is rejected, not truncated."""
     try:
-        return kind(value)
+        if isinstance(value, bool):
+            raise TypeError
+        converted = kind(value)
+        if kind is int and not isinstance(value, (int, str)) and converted != value:
+            raise ValueError
+        return converted
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be {kind.__name__}, got {value!r}") from None
 

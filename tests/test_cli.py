@@ -92,6 +92,11 @@ def write_config(tmp_path, config):
     ({"sigma_sq": 0}, "sigma_sq"),
     ({"seed": "abc"}, "seed"),
     ({"baseline_trivial": "yes"}, "baseline_trivial"),
+    ({"n_grid": [8.7]}, "n_grid"),
+    ({"trials": 2.5}, "trials"),
+    ({"seed": True}, "seed"),
+    ({"p_grid": [True]}, "p_grid"),
+    ({"sigma_sq": True}, "sigma_sq"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, override, field):
     config = {"model": {"kind": "zero"}, "n_grid": [8], "p_grid": [1.0], **override}

@@ -9,7 +9,6 @@ from usvt.estimator import (
     EstimatorConfig,
     MaskedMatrix,
     SymmetryMode,
-    clip_to_interval,
     threshold_value,
     trivial_estimate,
     usvt_estimate,
@@ -66,19 +65,12 @@ class TestThresholdValue:
 
 
 class TestClip:
-    def test_noop_in_range(self):
-        a = np.array([[0.2, -0.9], [0.5, 1.0]])
-        assert np.array_equal(clip_to_interval(a, -1.0, 1.0), a)
-
-    def test_upper_clamp(self):
-        assert clip_to_interval(np.array([[3.0]]), -1.0, 1.0)[0, 0] == 1.0
-
-    def test_lower_clamp(self):
-        assert clip_to_interval(np.array([[-7.0]]), 0.0, 1.0)[0, 0] == 0.0
-
     def test_bad_interval(self):
+        # trivial_estimate is the data clipped to the interval when all is
+        # observed; an interval with equal endpoints is refused.
+        data = MaskedMatrix(np.eye(2), full_mask((2, 2)))
         with pytest.raises(ValidationError):
-            clip_to_interval(np.eye(2), 1.0, 1.0)
+            trivial_estimate(data, interval=(1.0, 1.0))
 
 
 class TestMaskedMatrix:

@@ -5,9 +5,8 @@ import pytest
 
 import usvt
 from usvt.errors import ValidationError
-from usvt.estimator import EstimatorConfig, MaskedMatrix, SymmetryMode, usvt_estimate
+from usvt.estimator import SymmetryMode
 from usvt.evaluation import (
-    bootstrap_mse,
     bradley_terry_bracket,
     distance_bracket,
     lipschitz_latent_bracket,
@@ -18,7 +17,7 @@ from usvt.evaluation import (
     rate_fit,
     spectral_concentration_trial,
 )
-from usvt.generators import bernoulli_mask, bernoulli_round, gen_blockmodel, gen_low_rank
+from usvt.generators import gen_blockmodel, gen_low_rank
 from usvt.rng import make_rng, mix_seed
 
 SYM = SymmetryMode.SYMMETRIC
@@ -250,58 +249,6 @@ class TestRateFit:
             rate_fit([10, 20, 30], [1.0, 0.5])
 
 
-class TestBootstrap:
-    def config(self, mode=SymmetryMode.ASYMMETRIC, interval=None):
-        return EstimatorConfig(eta=0.01, interval=interval, mode=mode)
-
-    def test_zero_estimate_noiseless(self):
-        out = bootstrap_mse(np.zeros((12, 12)), 0.7, self.config(), k=4, seed=11, resample="exact")
-        assert out == 0.0
-
-    def test_k_one_is_single_discrepancy(self):
-        est = gen_low_rank(15, 15, 2, seed=12) * 0.5 + 0.5  # entries in [0, 1]
-        config = self.config(interval=(0.0, 1.0))
-        seed = 13
-        got = bootstrap_mse(est, 0.8, config, k=1, seed=seed, resample="bernoulli")
-        # replicate by hand with the documented child-seed derivation
-        child = mix_seed(seed, 0)
-        x = bernoulli_round(est, SymmetryMode.ASYMMETRIC, mix_seed(child, 0))
-        mask = bernoulli_mask(15, 15, 0.8, SymmetryMode.ASYMMETRIC, mix_seed(child, 1))
-        data = MaskedMatrix(np.where(mask, x, 0.0), mask)
-        expected = mse(usvt_estimate(data, config).estimate, est)
-        assert got == expected
-
-    def test_k_zero_rejected(self):
-        with pytest.raises(ValidationError):
-            bootstrap_mse(np.zeros((4, 4)), 0.5, self.config(), k=0, seed=1, resample="exact")
-
-    def test_unknown_resampler(self):
-        with pytest.raises(ValidationError):
-            bootstrap_mse(np.zeros((4, 4)), 0.5, self.config(), k=1, seed=1, resample="jackknife")
-
-    def test_blockmodel_factor_guard(self):
-        # Regression guard: on an easy blockmodel the bootstrap lands
-        # within a factor 3 of the true replication error.
-        n, k, p = 500, 4, 1.0
-        probs = np.full((k, k), 0.2)
-        np.fill_diagonal(probs, 0.8)
-        config = self.config(mode=SYM, interval=(0.0, 1.0))
-        truth, adj = gen_blockmodel(n, k, probs, seed=301)
-        mask = bernoulli_mask(n, n, p, SYM, seed=302)
-        est = usvt_estimate(
-            MaskedMatrix(np.where(mask, adj, 0.0), mask, SYM), config
-        ).estimate
-        true_mses = []
-        for t in range(20):
-            adj_t = bernoulli_round(truth, SYM, mix_seed(400, t))
-            mask_t = bernoulli_mask(n, n, p, SYM, mix_seed(500, t))
-            d = MaskedMatrix(np.where(mask_t, adj_t, 0.0), mask_t, SYM)
-            true_mses.append(mse(usvt_estimate(d, config).estimate, truth))
-        true_mse = float(np.mean(true_mses))
-        boot = bootstrap_mse(est, p, config, k=20, seed=600, resample="bernoulli")
-        assert true_mse / 3.0 <= boot <= true_mse * 3.0
-
-
 class TestSpectralConcentration:
     def test_degenerate_n_one(self):
         frac = spectral_concentration_trial(1, "rademacher", SYM, 0.1, trials=5, seed=14)
@@ -323,14 +270,10 @@ class TestSpectralConcentration:
 
     def test_variance_regime_enforced(self):
         with pytest.raises(ValidationError):
-            spectral_concentration_trial(400, (lambda rng, size: rng.uniform(-0.001, 0.001, size), 1e-7),
-                                         SYM, 0.1, trials=5, seed=18)
+            # uniform entries have variance 1/3 < 2^-0.9
+            spectral_concentration_trial(2, "uniform", SYM, 0.1, trials=5, seed=18)
 
     def test_unknown_name(self):
-        with pytest.raises(ValidationError):
-            spectral_concentration_trial(100, "gaussian", SYM, 0.1, trials=5, seed=19)
-
-    def test_custom_distribution(self):
-        sampler = lambda rng, size: rng.choice([-0.5, 0.5], size=size)
-        frac = spectral_concentration_trial(120, (sampler, 0.25), SYM, 0.1, trials=10, seed=20)
-        assert frac >= 0.9
+        for dist in ["gaussian", ["uniform"], (lambda rng, size: rng.random(size), 0.25)]:
+            with pytest.raises(ValidationError):
+                spectral_concentration_trial(100, dist, SYM, 0.1, trials=5, seed=19)

@@ -12,7 +12,6 @@ from usvt.generators import (
     LATENT_CATALOG,
     bernoulli_mask,
     bernoulli_round,
-    correlation_from_factors,
     gen_blockmodel,
     gen_bradley_terry,
     gen_correlation_matrix,
@@ -178,18 +177,11 @@ class TestCorrelation:
     def test_single_entry(self):
         assert np.array_equal(gen_correlation_matrix(1, seed=16), np.array([[1.0]]))
 
-    def test_all_ones_factors(self):
-        assert np.array_equal(correlation_from_factors(np.ones(5)), np.ones((5, 5)))
-
     def test_psd_and_unit_diagonal(self):
         m = gen_correlation_matrix(50, seed=17)
         assert float(np.linalg.eigvalsh(m).min()) >= -1e-8
         assert np.all(np.diagonal(m) == 1.0)
         assert m.min() >= -1.0 and m.max() <= 1.0
-
-    def test_factor_range_enforced(self):
-        with pytest.raises(ValidationError):
-            correlation_from_factors([2.0, 0.5])
 
 
 class TestGraphon:
@@ -465,6 +457,10 @@ _PINNED = {
     "blockmodel": (
         lambda: gen_blockmodel(13, 3, _PROBS, seed=101),
         "1e90d725cd45ff6b3551cde8c8b12e863130548d6914bde1f43ee54b7606df40",
+    ),
+    "correlation": (
+        lambda: (gen_correlation_matrix(13, seed=116),),
+        "af5e46849067e0ea0df430f3b2964eae9c16a6cbf90d305ac19f4af382c6c0e6",
     ),
     "graphon": (
         lambda: _graphon_fields(gen_graphon(13, GRAPHON_CATALOG["product"], seed=102)),

@@ -47,6 +47,11 @@ class TestSpecs:
         with pytest.raises(ValidationError):
             small_spec(trials=0)
 
+    def test_integral_values_accepted(self):
+        spec = small_spec(n_grid=["8", 16.0], trials="5", seed=3.0)
+        assert spec.n_grid == (8, 16) and spec.trials == 5 and spec.seed == 3
+        assert all(type(v) is int for v in (*spec.n_grid, spec.trials, spec.seed))
+
     def test_unknown_param_rejected(self):
         with pytest.raises(ValidationError, match="in_porb") as info:
             ModelSpec("blockmodel", {"k": 2, "in_porb": 0.99})
