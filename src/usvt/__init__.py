@@ -24,7 +24,6 @@ from .estimator import (
     usvt_estimate,
 )
 from .evaluation import (
-    BoundBracket,
     RateFit,
     bradley_terry_bracket,
     distance_bracket,
@@ -81,7 +80,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BoundBracket",
     "CellResult",
     "CheckReport",
     "CheckResult",

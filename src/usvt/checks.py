@@ -1,8 +1,9 @@
 """Named property batteries runnable from the CLI (``usvt check``).
 
-Each check runs a deterministic seeded battery and reports pass/fail
-counts. ``negative-control`` is a deliberately corrupted fixture that must
-fail; it proves the suite surfaces failures and is excluded from ``all``.
+Each check runs a deterministic battery of fixed size, seeded only by
+``seed``, and reports pass/fail counts. ``negative-control`` is a
+deliberately corrupted fixture that must fail; it proves the suite
+surfaces failures and is excluded from ``all``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .estimator import SymmetryMode, denoise_by_threshold, denoise_error_constant
+from .estimator import denoise_by_threshold, denoise_error_constant
 from .evaluation import spectral_concentration_trial
 from .generators import (
     gen_blockmodel,
@@ -62,15 +63,14 @@ class CheckReport:
         return lines
 
 
-def check_denoise_bound(cases: int = 1000, seed: int = DEFAULT_SEED, slack: float = 1e-8,
-                        constant_fn=denoise_error_constant) -> CheckResult:
-    """Deterministic reconstruction bound on random perturbed pairs.
+def check_denoise_bound(seed: int = DEFAULT_SEED) -> CheckResult:
+    """Deterministic reconstruction bound on 1000 random perturbed pairs.
 
     For shapes up to 20 x 30 and delta in {0.5, 1, 2}, verifies
-    ``||b_hat - b||_F <= K(delta) * sqrt(||a - b|| * ||b||_*)`` within
-    numerical slack. ``constant_fn`` is injectable so a corrupted constant
-    can be used as a negative control.
+    ``||b_hat - b||_F <= K(delta) * sqrt(||a - b|| * ||b||_*)`` within a
+    numerical slack of 1e-8.
     """
+    cases = 1000
     deltas = (0.5, 1.0, 2.0)
     failed = 0
     worst = -math.inf
@@ -85,10 +85,10 @@ def check_denoise_bound(cases: int = 1000, seed: int = DEFAULT_SEED, slack: floa
         else:
             a = rng.uniform(-1.0, 1.0, (m, n))
         lhs = frobenius_norm(denoise_by_threshold(a, b, delta) - b)
-        rhs = constant_fn(delta) * math.sqrt(spectral_norm(a - b) * nuclear_norm(b))
+        rhs = denoise_error_constant(delta) * math.sqrt(spectral_norm(a - b) * nuclear_norm(b))
         margin = lhs - rhs
         worst = max(worst, margin)
-        if margin > slack:
+        if margin > 1e-8:
             failed += 1
     return CheckResult(
         name="denoise-bound",
@@ -98,9 +98,10 @@ def check_denoise_bound(cases: int = 1000, seed: int = DEFAULT_SEED, slack: floa
     )
 
 
-def check_norm_order(cases: int = 200, seed: int = DEFAULT_SEED) -> CheckResult:
+def check_norm_order(seed: int = DEFAULT_SEED) -> CheckResult:
     """spectral <= frobenius <= nuclear, triangle inequality, and the
-    rank-based nuclear bound on random (including low-rank) matrices."""
+    rank-based nuclear bound on 200 random (including low-rank) matrices."""
+    cases = 200
     failed = 0
     for case in range(cases):
         rng = make_rng(mix_seed(seed, 7, case))
@@ -122,19 +123,16 @@ def check_norm_order(cases: int = 200, seed: int = DEFAULT_SEED) -> CheckResult:
     return CheckResult(name="norms", passed=cases - failed, failed=failed)
 
 
-def check_concentration(n: int = 400, trials: int = 100, eta: float = 0.1,
-                        seed: int = DEFAULT_SEED, minimum: float = 0.95) -> CheckResult:
-    """Spectral norms of random symmetric matrices stay below
-    ``(2 + eta) * sigma * sqrt(n)`` in at least ``minimum`` of trials, for
-    uniform and Rademacher entries."""
+def check_concentration(seed: int = DEFAULT_SEED) -> CheckResult:
+    """Spectral norms of random symmetric 400 x 400 matrices stay below
+    ``2.1 * sigma * sqrt(n)`` in at least 95 of 100 trials, for uniform and
+    Rademacher entries."""
     failed = 0
     details = []
     for idx, dist in enumerate(("uniform", "rademacher")):
-        frac = spectral_concentration_trial(
-            n, dist, SymmetryMode.SYMMETRIC, eta, trials, mix_seed(seed, 11, idx)
-        )
+        frac = spectral_concentration_trial(400, dist, 0.1, 100, mix_seed(seed, 11, idx))
         details.append(f"{dist}: {frac:.3f}")
-        failed += frac < minimum
+        failed += frac < 0.95
     return CheckResult(
         name="concentration", passed=2 - failed, failed=failed, detail=", ".join(details)
     )
@@ -159,11 +157,12 @@ def _tournament_monotone(p: np.ndarray, order: np.ndarray, tol: float = 1e-12) -
     return True
 
 
-def check_generator_certificates(draws: int = 100, seed: int = DEFAULT_SEED) -> CheckResult:
-    """Structural certificates on seeded draws from every generator family:
-    blockmodel rank <= k, low-rank nuclear norm <= sqrt(r m n), correlation
-    matrices PSD, distance matrices metric, tournaments consistent and
-    monotone."""
+def check_generator_certificates(seed: int = DEFAULT_SEED) -> CheckResult:
+    """Structural certificates on 100 seeded draws from every generator
+    family: blockmodel rank <= k, low-rank nuclear norm <= sqrt(r m n),
+    correlation matrices PSD, distance matrices metric, tournaments
+    consistent and monotone."""
+    draws = 100
     failed = 0
     for i in range(draws):
         rng = make_rng(mix_seed(seed, 3, i))

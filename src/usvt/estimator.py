@@ -133,11 +133,10 @@ class EstimatorConfig:
 class EstimateReport:
     """Estimate plus diagnostics.
 
-    ``retained_indices`` are positions in the descending singular-value
-    ordering that survived the threshold, always the leading
-    ``retained_rank``; ``threshold`` refers to the interval-normalized
-    scale and, for inputs with more rows than columns, to the transposed
-    (rows <= cols) orientation. ``no_data`` flags the degenerate p_hat = 0
+    ``retained_rank`` counts the leading singular values at or above the
+    threshold; ``threshold`` refers to the interval-normalized scale and,
+    for inputs with more rows than columns, to the transposed (rows <=
+    cols) orientation. ``no_data`` flags the degenerate p_hat = 0
     case where the estimate is the interval midpoint.
     """
 
@@ -145,7 +144,6 @@ class EstimateReport:
     p_hat: float
     q_hat: float | None
     threshold: float
-    retained_indices: np.ndarray
     retained_rank: int
     no_data: bool = False
 
@@ -237,7 +235,6 @@ def usvt_estimate(data: MaskedMatrix, config: EstimatorConfig) -> EstimateReport
             p_hat=0.0,
             q_hat=None,
             threshold=0.0,
-            retained_indices=np.empty(0, dtype=int),
             retained_rank=0,
             no_data=True,
         )
@@ -256,7 +253,6 @@ def usvt_estimate(data: MaskedMatrix, config: EstimatorConfig) -> EstimateReport
         p_hat=p_hat,
         q_hat=q_hat,
         threshold=thr,
-        retained_indices=np.arange(k),
         retained_rank=k,
     )
 

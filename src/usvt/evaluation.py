@@ -14,13 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .estimator import SymmetryMode, _variance_rate
 from .generators import sample_upper
-from .linalg import as_matrix, nuclear_norm, spectral_norm
+from .linalg import as_matrix, nuclear_norm
 from .rng import make_rng, mix_seed
 
 __all__ = [
-    "BoundBracket",
     "RateFit",
     "mse",
     "nuclear_bracket",
@@ -45,26 +43,6 @@ def mse(estimate, truth) -> float:
     return float((diff * diff).mean())
 
 
-@dataclass(frozen=True)
-class BoundBracket:
-    """Constant-free error bracket for a bounded matrix under sampling.
-
-    ``bracket = min(term_nuclear, term_nuclear_sq, 1)``. ``small_np_flag``
-    signals the strict inequality ``n * p < 20``, with ``n`` the longer
-    side, where the (uncomputable) exponentially small additive term
-    ``C * exp(-c * n * p)`` of the underlying guarantee may not be
-    negligible. The guarantee fixes no number; 20 is this package's cutoff.
-    ``term_nuclear_variant`` is the tightened first term available under a
-    known variance bound; it never exceeds ``term_nuclear``.
-    """
-
-    term_nuclear: float
-    term_nuclear_sq: float
-    bracket: float
-    small_np_flag: bool
-    term_nuclear_variant: float | None = None
-
-
 def _check_size_and_rate(n: int, p: float) -> None:
     if n < 1:
         raise ValidationError("n must be positive")
@@ -72,31 +50,19 @@ def _check_size_and_rate(n: int, p: float) -> None:
         raise ValidationError(f"p must lie in (0, 1], got {p}")
 
 
-def nuclear_bracket(m_matrix, p: float, sigma_sq: float | None = None) -> BoundBracket:
+def nuclear_bracket(m_matrix, p: float) -> float:
     """Bracket ``min(||M||_* / (m sqrt(n p)), ||M||_*^2 / (m n), 1)``.
 
     ``m <= n`` is the row/column convention; wider-than-tall inputs are
-    transposed internally. With ``sigma_sq`` given, the variant term
-    ``||M||_* sqrt(q) / (m sqrt(n) p)`` with
-    ``q = p sigma^2 + p (1-p) (1 - sigma^2)`` is reported alongside.
+    transposed internally. The guarantee's exponentially small additive
+    term ``C * exp(-c * n * p)`` has no computable constant and is left
+    out, so the bracket says little when ``n * p`` is small.
     """
     mat = as_matrix(m_matrix)
     m_side, n_side = sorted(mat.shape)
     _check_size_and_rate(n_side, p)
     nn = nuclear_norm(mat)
-    term_nuclear = nn / (m_side * math.sqrt(n_side * p))
-    term_nuclear_sq = nn * nn / (m_side * n_side)
-    variant = None
-    if sigma_sq is not None:
-        q = _variance_rate(p, sigma_sq)
-        variant = nn * math.sqrt(q) / (m_side * math.sqrt(n_side) * p)
-    return BoundBracket(
-        term_nuclear=term_nuclear,
-        term_nuclear_sq=term_nuclear_sq,
-        bracket=min(term_nuclear, term_nuclear_sq, 1.0),
-        small_np_flag=n_side * p < 20.0,
-        term_nuclear_variant=variant,
-    )
+    return min(nn / (m_side * math.sqrt(n_side * p)), nn * nn / (m_side * n_side), 1.0)
 
 
 def distance_bracket(n: int, p: float, covering) -> float:
@@ -162,20 +128,15 @@ ENTRY_DISTRIBUTIONS = {
 }
 
 
-def spectral_concentration_trial(
-    n: int,
-    dist: str,
-    mode: SymmetryMode,
-    eta: float,
-    trials: int,
-    seed: int,
-) -> float:
-    """Fraction of random n x n matrices with spectral norm at most
-    ``(2 + eta) * sigma * sqrt(n)``.
+def spectral_concentration_trial(n: int, dist: str, eta: float, trials: int, seed: int) -> float:
+    """Fraction of random symmetric n x n matrices with spectral norm at
+    most ``(2 + eta) * sigma * sqrt(n)``.
 
-    ``dist`` is a name from :data:`ENTRY_DISTRIBUTIONS`, whose entries have
-    variance ``sigma^2``. Requires ``sigma^2 >= n^{-0.9}``, the regime in
-    which the exceedance probability is exponentially small.
+    Each trial draws the entries on and above the diagonal independently
+    from the distribution named ``dist`` in :data:`ENTRY_DISTRIBUTIONS`,
+    whose variance is ``sigma^2``, and mirrors them below. Requires
+    ``sigma^2 >= n^{-0.9}``, the regime in which the exceedance
+    probability is exponentially small.
     """
     if n < 1 or trials < 1:
         raise ValidationError("n and trials must be positive")
@@ -189,19 +150,8 @@ def spectral_concentration_trial(
     hits = 0
     for t in range(trials):
         rng = make_rng(mix_seed(seed, t))
-        if mode is SymmetryMode.ASYMMETRIC:
-            a = np.asarray(sampler(rng, (n, n)), dtype=float)
-            norm = spectral_norm(a)
-        elif mode is SymmetryMode.SYMMETRIC:
-            a = sample_upper(n, lambda i, j: sampler(rng, i.size))
-            norm = float(np.abs(np.linalg.eigvalsh(a)).max())
-        else:
-            # The diagonal is drawn, keeping the stream of the symmetric
-            # mode, then zeroed.
-            a = sample_upper(n, lambda i, j: sampler(rng, i.size), below="negate")
-            np.fill_diagonal(a, 0.0)
-            norm = spectral_norm(a)
-        hits += norm <= bound
+        a = sample_upper(n, lambda i, j: sampler(rng, i.size))
+        hits += float(np.abs(np.linalg.eigvalsh(a)).max()) <= bound
     return hits / trials
 
 

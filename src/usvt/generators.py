@@ -143,7 +143,6 @@ def gen_low_rank(m: int, n: int, r: int, seed: int) -> np.ndarray:
 #: How :func:`sample_upper` fills entry (j, i) from the value x at (i, j).
 _BELOW = {
     "mirror": lambda x: x,
-    "negate": np.negative,
     "complement": lambda x: 1.0 - x,
 }
 
@@ -155,7 +154,7 @@ def sample_upper(n: int, draw, *, diagonal: bool = True, below: str = "mirror", 
     the diagonal (strictly above when ``diagonal`` is False), in row-major
     order; that order is the order in which a random ``draw`` consumes its
     stream. Each entry (j, i) below the diagonal is filled from x at (i, j)
-    by ``below``: "mirror" (x), "negate" (-x) or "complement" (1 - x).
+    by ``below``: "mirror" (x) or "complement" (1 - x).
     Diagonal entries keep their drawn value, or are zero when not drawn.
     """
     rows, cols = np.triu_indices(n, 0 if diagonal else 1)
@@ -166,13 +165,13 @@ def sample_upper(n: int, draw, *, diagonal: bool = True, below: str = "mirror", 
     return out
 
 
-def gen_blockmodel(n, k, block_probs, seed, assignment=None):
+def gen_blockmodel(n, k, block_probs, seed):
     """Stochastic blockmodel mean matrix and one sampled adjacency matrix.
 
-    ``block_probs`` is a symmetric k x k matrix of edge probabilities;
-    ``assignment`` maps each vertex to a block in 0..k-1 (drawn uniformly
-    when omitted; empty blocks are fine, the rank just drops). The mean
-    matrix ``m_ij = block_probs[z_i, z_j]`` has rank at most k. Adjacency
+    ``block_probs`` is a symmetric k x k matrix of edge probabilities.
+    Each vertex's block ``z_i`` is drawn uniformly from 0..k-1 (empty
+    blocks are fine, the rank just drops). The mean matrix
+    ``m_ij = block_probs[z_i, z_j]`` has rank at most k. Adjacency
     entries on and above the diagonal are independent Bernoulli(m_ij),
     mirrored below; self-pairs included.
     """
@@ -184,12 +183,7 @@ def gen_blockmodel(n, k, block_probs, seed, assignment=None):
     if b.min() < 0.0 or b.max() > 1.0:
         raise ValidationError("block_probs must lie in [0, 1]")
     rng = make_rng(seed)
-    if assignment is None:
-        z = rng.integers(0, k, size=n)
-    else:
-        z = np.asarray(assignment, dtype=int)
-        if z.shape != (n,) or z.min() < 0 or z.max() >= k:
-            raise ValidationError("assignment must map each of the n vertices to 0..k-1")
+    z = rng.integers(0, k, size=n)
     m = b[np.ix_(z, z)]
     return m, sample_upper(n, lambda i, j: rng.random(i.size) < m[i, j])
 

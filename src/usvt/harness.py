@@ -361,7 +361,7 @@ def _bracket_for(model: ModelSpec, n: int, p: float, truth0: np.ndarray) -> floa
         return None
     bracket = FAMILIES[model.kind].bracket
     if bracket is None:
-        return nuclear_bracket(truth0, p).bracket
+        return nuclear_bracket(truth0, p)
     return bracket(model.settings(), n, p)
 
 
@@ -502,7 +502,7 @@ def estimate_file(
         "q_hat": report.q_hat,
         "threshold": report.threshold,
         "retained_rank": report.retained_rank,
-        "retained_indices": [int(v) for v in report.retained_indices],
+        "retained_indices": list(range(report.retained_rank)),
         "no_data": report.no_data,
     }
     if report_path is not None:

@@ -1,16 +1,17 @@
 """CSV interchange format for matrices with missing entries.
 
-One row per matrix row, comma-separated decimal literals, missing entries
-encoded as the literal token ``NA``. An optional header row carries
-generic column names. Floats are written with ``repr``, so a write/read
-round trip reproduces every value exactly.
+One row per matrix row, comma-separated decimal literals. An optional
+header row carries generic column names. The reader takes the literal
+token ``NA`` as a missing entry; the writer writes fully observed
+matrices (estimates), so it never writes ``NA``. Floats are written with
+``repr``, so a write/read round trip reproduces every value exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import MatrixFormatError, ValidationError
+from .errors import MatrixFormatError
 from .linalg import as_matrix
 
 __all__ = ["NA_TOKEN", "read_matrix_csv", "write_matrix_csv"]
@@ -71,27 +72,13 @@ def read_matrix_csv(path, header: bool = False):
     return values, mask
 
 
-def write_matrix_csv(path, values, mask=None, header: bool = False) -> None:
-    """Write a matrix, rendering masked-out entries as ``NA``.
-
-    ``mask`` defaults to everything observed. Values are written with full
-    round-trip precision.
-    """
+def write_matrix_csv(path, values, header: bool = False) -> None:
+    """Write a fully observed matrix with full round-trip precision, with a
+    ``c0,c1,...`` header row when ``header`` is set."""
     values = as_matrix(values)
-    if mask is None:
-        mask = np.ones(values.shape, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != values.shape:
-            raise ValidationError("mask shape must match values shape")
     lines = []
     if header:
         lines.append(",".join(f"c{j}" for j in range(values.shape[1])))
-    for i in range(values.shape[0]):
-        fields = [
-            repr(float(values[i, j])) if mask[i, j] else NA_TOKEN
-            for j in range(values.shape[1])
-        ]
-        lines.append(",".join(fields))
+    lines.extend(",".join(map(repr, row)) for row in values.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -1,6 +1,10 @@
+import inspect
+
 import pytest
 
 from usvt.checks import (
+    DEFAULT_SEED,
+    _CHECKS,
     check_denoise_bound,
     check_generator_certificates,
     check_negative_control,
@@ -11,27 +15,29 @@ from usvt.errors import ValidationError
 
 
 def test_denoise_battery_small():
-    result = check_denoise_bound(cases=100, seed=20240)
+    result = check_denoise_bound(seed=20240)
     assert result.ok
-    assert result.passed == 100
+    assert result.passed == 1000
 
 
-def test_denoise_battery_fails_with_corrupt_constant():
+def test_denoise_battery_fails_with_corrupt_constant(monkeypatch):
     # Negative control for the battery machinery: an undersized constant
     # must produce violations.
-    result = check_denoise_bound(cases=100, seed=20240, constant_fn=lambda d: 0.05)
+    monkeypatch.setattr("usvt.checks.denoise_error_constant", lambda delta: 0.05)
+    result = check_denoise_bound(seed=20240)
     assert not result.ok
 
 
 def test_norms_battery():
-    result = check_norm_order(cases=60)
+    result = check_norm_order(seed=20240)
     assert result.ok
+    assert result.passed == 200
 
 
 def test_generator_certificates_small():
-    result = check_generator_certificates(draws=20)
+    result = check_generator_certificates(seed=20240)
     assert result.ok
-    assert result.passed == 20
+    assert result.passed == 100
 
 
 def test_negative_control_fails():
@@ -63,3 +69,9 @@ def test_suite_unknown_selector():
 def test_suite_deduplicates():
     report = check_suite(["norms", "norms"])
     assert len(report.results) == 1
+
+
+def test_batteries_take_only_seed():
+    for battery in _CHECKS.values():
+        params = inspect.signature(battery).parameters
+        assert [(p.name, p.default) for p in params.values()] == [("seed", DEFAULT_SEED)]

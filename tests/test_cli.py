@@ -1,10 +1,12 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from usvt.checks import CheckReport
 from usvt.cli import main
+from usvt.rng import make_rng
 
 
 def run(argv, capsys):
@@ -185,3 +187,27 @@ def test_estimate_bad_mode_exits_1(tmp_path, capsys):
                      capsys)
     assert code == 1
     assert not (tmp_path / "e.csv").exists()
+
+
+def test_estimate_command_bytes_pinned(tmp_path, capsys):
+    # sha256 of the estimate CSV, the --report JSON and stdout, recorded
+    # before write_matrix_csv lost its mask argument (x86-64, numpy 2.4,
+    # OpenBLAS 0.3.31). The input has NA entries, a header row and a
+    # rank-1 signal, so one component is kept.
+    rng = make_rng(3)
+    signal = np.outer(rng.choice([-1.0, 1.0], 14), rng.uniform(0.5, 1.0, 11)) * 0.9
+    values = (signal + rng.uniform(-0.1, 0.1, (14, 11))).tolist()
+    seen = (rng.random((14, 11)) < 0.6).tolist()
+    path = tmp_path / "in.csv"
+    path.write_text(",".join(f"x{j}" for j in range(11)) + "\n" + "".join(
+        ",".join(repr(v) if s else "NA" for v, s in zip(row, seen_row)) + "\n"
+        for row, seen_row in zip(values, seen)))
+    code, stdout, _ = run(["estimate", str(path), "--header", "--out", str(tmp_path / "e.csv"),
+                           "--report", str(tmp_path / "e.json")], capsys)
+    assert code == 0
+    assert json.loads(stdout)["retained_rank"] == 1
+    digests = [hashlib.sha256(data).hexdigest() for data in (
+        (tmp_path / "e.csv").read_bytes(), (tmp_path / "e.json").read_bytes(), stdout.encode())]
+    assert digests == ["fbf7970487567d9420d7d700cb6f3a41b3ff4457b003d4d2650ce602714c7330",
+                       "6ff79dd8f0303580b2c26dd6ee4a237ebaae2d681f63a23f299e7a49e8cd11e7",
+                       "794eb551f7712be31a13cbc4c1314b0c1a6ee151d1d066d4cf8641184219ba2e"]

@@ -5,7 +5,6 @@ import pytest
 
 import usvt
 from usvt.errors import ValidationError
-from usvt.estimator import SymmetryMode
 from usvt.evaluation import (
     bradley_terry_bracket,
     distance_bracket,
@@ -19,8 +18,6 @@ from usvt.evaluation import (
 )
 from usvt.generators import gen_blockmodel, gen_low_rank
 from usvt.rng import make_rng, mix_seed
-
-SYM = SymmetryMode.SYMMETRIC
 
 
 class TestMse:
@@ -52,61 +49,41 @@ class TestMse:
 
 class TestNuclearBracket:
     def test_zero_matrix(self):
-        b = nuclear_bracket(np.zeros((4, 6)), 1.0)
-        assert b.bracket == 0.0
-        assert b.term_nuclear == 0.0 and b.term_nuclear_sq == 0.0
+        assert nuclear_bracket(np.zeros((4, 6)), 1.0) == 0.0
 
     def test_maximal_nuclear_norm(self):
         # 4x4 Hadamard matrix: nuclear norm m*sqrt(n) = 8, the maximum for
         # entries bounded by 1. First term = 1 at p = 1, second term = m.
+        # Scaled by c, the terms are c and 4 c^2: the first is the minimum
+        # at c = 1/2, the second at c = 1/10.
         h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], float)
-        b = nuclear_bracket(h, 1.0)
         assert usvt.nuclear_norm(h) == pytest.approx(8.0, rel=1e-12)
-        assert b.term_nuclear == pytest.approx(1.0, rel=1e-12)
-        assert b.term_nuclear_sq == pytest.approx(4.0, rel=1e-12)
-        assert b.bracket == pytest.approx(1.0, rel=1e-12)
+        assert nuclear_bracket(h, 1.0) == pytest.approx(1.0, rel=1e-12)
+        assert nuclear_bracket(0.5 * h, 1.0) == pytest.approx(0.5, rel=1e-12)
+        assert nuclear_bracket(0.1 * h, 1.0) == pytest.approx(0.04, rel=1e-12)
 
     def test_low_rank_bound(self):
         for i in range(20):
             m, n, r, p = 20, 30, 1 + i % 4, (0.25, 0.5, 1.0)[i % 3]
             a = gen_low_rank(m, n, r, seed=mix_seed(4, i))
-            b = nuclear_bracket(a, p)
-            assert b.bracket <= math.sqrt(r / (m * p)) * (1 + 1e-12) + 1e-12
+            assert nuclear_bracket(a, p) <= math.sqrt(r / (m * p)) * (1 + 1e-12) + 1e-12
 
     def test_orientation_invariant(self):
         a = make_rng(5).uniform(-1, 1, (6, 10))
-        assert nuclear_bracket(a, 0.5).bracket == pytest.approx(
-            nuclear_bracket(a.T, 0.5).bracket, rel=1e-12
-        )
+        assert nuclear_bracket(a, 0.5) == pytest.approx(nuclear_bracket(a.T, 0.5), rel=1e-12)
 
     def test_monotone_in_p(self):
         a = gen_low_rank(15, 15, 2, seed=6)
-        vals = [nuclear_bracket(a, p).bracket for p in (0.1, 0.3, 0.6, 1.0)]
+        vals = [nuclear_bracket(a, p) for p in (0.1, 0.3, 0.6, 1.0)]
         assert all(x >= y for x, y in zip(vals, vals[1:]))
 
     def test_monotone_in_nuclear_norm(self):
         a = 0.25 * gen_low_rank(12, 12, 2, seed=7)
-        assert nuclear_bracket(2 * a, 0.5).bracket >= nuclear_bracket(a, 0.5).bracket
+        assert nuclear_bracket(2 * a, 0.5) >= nuclear_bracket(a, 0.5)
 
     def test_clamped_at_one(self):
         h = np.ones((10, 10))
-        assert nuclear_bracket(h * 0 + np.eye(10) * 0 + 1, 0.0001).bracket <= 1.0
-
-    def test_small_np_flag(self):
-        # The flag is the strict inequality n * p < 20, n the longer side.
-        a = np.ones((10, 10))
-        assert nuclear_bracket(a, 0.1).small_np_flag  # np = 1
-        assert nuclear_bracket(a, 1.0).small_np_flag  # np = 10
-        assert not nuclear_bracket(np.ones((20, 20)), 1.0).small_np_flag  # np = 20
-        b = np.ones((30, 30))
-        assert not nuclear_bracket(b, 1.0).small_np_flag  # np = 30
-
-    def test_variant_never_exceeds_base(self):
-        a = gen_low_rank(18, 24, 3, seed=8)
-        for p in (0.2, 0.5, 0.9, 1.0):
-            for s2 in (0.05, 0.3, 0.7, 1.0):
-                b = nuclear_bracket(a, p, sigma_sq=s2)
-                assert b.term_nuclear_variant <= b.term_nuclear * (1 + 1e-12)
+        assert nuclear_bracket(h * 0 + np.eye(10) * 0 + 1, 0.0001) <= 1.0
 
     def test_blockmodel_bracket_bound(self):
         for i in range(10):
@@ -114,8 +91,7 @@ class TestNuclearBracket:
             probs = np.full((k, k), 0.3)
             np.fill_diagonal(probs, 0.9)
             m, _ = gen_blockmodel(50, k, probs, seed=mix_seed(9, i))
-            b = nuclear_bracket(m, 1.0)
-            assert b.bracket <= math.sqrt(k / 50) * (1 + 1e-8)
+            assert nuclear_bracket(m, 1.0) <= math.sqrt(k / 50) * (1 + 1e-8)
 
 
 class TestDistanceBracket:
@@ -213,7 +189,6 @@ class TestSimpleBrackets:
         (distance_bracket, (0, 0.5, lambda d: 1)),
         (distance_bracket, (10, 0.0, lambda d: 1)),
         (nuclear_bracket, (np.ones((3, 3)), 0.0)),
-        (nuclear_bracket, (np.ones((3, 3)), 0.5, 1.5)),
     ])
     def test_out_of_range_arguments_rejected(self, bracket, args):
         with pytest.raises(ValidationError):
@@ -251,29 +226,19 @@ class TestRateFit:
 
 class TestSpectralConcentration:
     def test_degenerate_n_one(self):
-        frac = spectral_concentration_trial(1, "rademacher", SYM, 0.1, trials=5, seed=14)
+        frac = spectral_concentration_trial(1, "rademacher", 0.1, trials=5, seed=14)
         assert frac == 1.0  # |a| <= 1 <= 2.1 always
 
     def test_uniform_small(self):
-        frac = spectral_concentration_trial(150, "uniform", SYM, 0.1, trials=20, seed=15)
-        assert frac >= 0.9
-
-    def test_asymmetric_mode(self):
-        frac = spectral_concentration_trial(100, "rademacher", SymmetryMode.ASYMMETRIC,
-                                            0.2, trials=10, seed=16)
-        assert 0.0 <= frac <= 1.0
-
-    def test_skew_mode(self):
-        frac = spectral_concentration_trial(100, "rademacher", SymmetryMode.SKEW_SYMMETRIC,
-                                            0.2, trials=10, seed=17)
+        frac = spectral_concentration_trial(150, "uniform", 0.1, trials=20, seed=15)
         assert frac >= 0.9
 
     def test_variance_regime_enforced(self):
         with pytest.raises(ValidationError):
             # uniform entries have variance 1/3 < 2^-0.9
-            spectral_concentration_trial(2, "uniform", SYM, 0.1, trials=5, seed=18)
+            spectral_concentration_trial(2, "uniform", 0.1, trials=5, seed=18)
 
     def test_unknown_name(self):
         for dist in ["gaussian", ["uniform"], (lambda rng, size: rng.random(size), 0.25)]:
             with pytest.raises(ValidationError):
-                spectral_concentration_trial(100, dist, SYM, 0.1, trials=5, seed=19)
+                spectral_concentration_trial(100, dist, 0.1, trials=5, seed=19)
