@@ -150,20 +150,61 @@ def test_inline_flags_match_config(tmp_path, capsys, flags, config):
             (tmp_path / f"file{suffix}").read_bytes()
 
 
-def test_report_bytes_pinned(tmp_path, capsys):
-    # sha256 of the reports, recorded at the commit before reports were
-    # built with dataclasses.asdict (x86-64, numpy 2.4, OpenBLAS 0.3.31).
-    config = {"model": {"kind": "blockmodel",
-                        "params": {"k": 2, "block_probs": [[0.7, 0.2], [0.2, 0.6]]}},
-              "n_grid": [12, 16, 20], "p_grid": [0.5, 1.0], "eta": 0.05, "sigma_sq": 0.5,
-              "trials": 2, "seed": 3, "baseline_trivial": True}
+#: Parameters of each model kind for the pinned sweeps; minimax also needs
+#: p < 1, so it gets its own p grid.
+_PINNED_SWEEPS = {
+    "zero": {},
+    "lowrank": {"params": {"r": 2, "noise": "sign"}},
+    "lowrank_adversary": {"params": {"r": 2}},
+    "blockmodel": {"params": {"k": 2, "block_probs": [[0.7, 0.2], [0.2, 0.6]]}},
+    "distance": {"params": {"dim": 2}},
+    "latent": {"params": {"f": "one_minus_l1", "dim": 2}},
+    "correlation": {},
+    "graphon": {"params": {"f": "product"}},
+    "bradley_terry": {"params": {"games_per_pair": 3}},
+    "minimax": {"params": {"theta": 0.4}, "p_grid": [0.3, 0.6]},
+}
+
+#: sha256 of each kind's reports (JSON, CSV). The blockmodel pair was
+#: recorded at the commit before reports were built with
+#: dataclasses.asdict; the others at the commit before the generators
+#: returned plain arrays (x86-64, numpy 2.4, OpenBLAS 0.3.31).
+_REPORT_DIGESTS = {
+    "blockmodel": ["124bea4fc7681880865fafce3e67eef26a8487765e72255114ad65209a2890a7",
+                   "ab739906ce2c3c87403f4f0255df13cf08e2097f2770585d31d44a492a383616"],
+    "bradley_terry": ["320191e60ec4a9738610b75b7ef9a513528307acf9211eda2cd3b85335a906d0",
+                      "868a10238fe7a20fc4d981e079da9a64b688274c7aeb66c9b610944f4f928970"],
+    "correlation": ["5881b59904e0b039cf92ca5059db647aae515106d0cb5ea6201247b7cd695d73",
+                    "5f6117d0282ab37b1777368bde88d67847d2718c0ae93cea9932db05d912f254"],
+    "distance": ["8e875eb4386e2e44cb59d34861a26a44902d5439f618e2a5e7bcdedc64d4f3b8",
+                 "b1be2d873506a029172f7a9c4172fbe22e961ebc0e77e715093a496ddfc426af"],
+    "graphon": ["7c4d678179d41cde4da467d92ef5bceee604d53c6e572426f5b4df1d1d061b89",
+                "49bab09197fbb52b5a7ea1ef80f732bf9c4a1186a54c41ed827086e1e7fd10d6"],
+    "latent": ["c128d259c9ce0b2afb121f1cf7efe630fd302ad1f380c67dc9265ed249649ad7",
+               "dff727060c46131e88206f02143bfc0973647b8fbced89320135abedd6bdbcfc"],
+    "lowrank": ["230dc6bbe3d9f3296e8d20f642e472c09b3a1be25c5438120093b005d490732a",
+                "0519ef0c46af809bc7b034be623f397fb51f1a5f3f1727029fa5860612bbb29d"],
+    "lowrank_adversary": ["80366652688f147967e29b6d14440cf89ebd6a0ec1d17758a417755d4a56e888",
+                          "53ba83b7e03b8e959e2533c93290120d5175efe0d2f9143d8f658550b0b9ed96"],
+    "minimax": ["696a2fee56d2aa1105b93278254ac9489a5b0e2139466b6e90787fc5b9b1ec63",
+                "3ee7a63dc3807d225ee88d500e75344b06e16bd094898671110d2e64b4b27606"],
+    "zero": ["18e0cf0997b44033f456a87208ca0489254dc9f34944d1194681d7f67cda37f2",
+             "b321e823923ada2b89caf9a9e19182494ccc057b56c7cd62789dc06b2dadc6f5"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED_SWEEPS))
+def test_report_bytes_pinned(tmp_path, capsys, kind):
+    model = {"kind": kind, "params": _PINNED_SWEEPS[kind].get("params", {})}
+    config = {"model": model, "n_grid": [12, 16, 20],
+              "p_grid": _PINNED_SWEEPS[kind].get("p_grid", [0.5, 1.0]), "eta": 0.05,
+              "sigma_sq": 0.5, "trials": 2, "seed": 3, "baseline_trivial": True}
     code, _, _ = run(["experiment", "--config", write_config(tmp_path, config),
                       "--out", str(tmp_path / "r")], capsys)
     assert code == 0
     digests = [hashlib.sha256((tmp_path / f"r.{ext}").read_bytes()).hexdigest()
                for ext in ("json", "csv")]
-    assert digests == ["124bea4fc7681880865fafce3e67eef26a8487765e72255114ad65209a2890a7",
-                       "ab739906ce2c3c87403f4f0255df13cf08e2097f2770585d31d44a492a383616"]
+    assert digests == _REPORT_DIGESTS[kind]
 
 
 def test_check_default_seed_is_727(capsys):
