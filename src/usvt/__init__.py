@@ -38,8 +38,6 @@ from .evaluation import (
 from .generators import (
     GRAPHON_CATALOG,
     LATENT_CATALOG,
-    GraphonSample,
-    MinimaxInstance,
     TournamentModel,
     bernoulli_mask,
     bernoulli_round,
@@ -88,11 +86,9 @@ __all__ = [
     "ExperimentReport",
     "ExperimentSpec",
     "GRAPHON_CATALOG",
-    "GraphonSample",
     "LATENT_CATALOG",
     "MaskedMatrix",
     "MatrixFormatError",
-    "MinimaxInstance",
     "ModelSpec",
     "RateFit",
     "SvdFactorization",

@@ -46,6 +46,12 @@ class SymmetryMode(enum.Enum):
     SKEW_SYMMETRIC = "skew"
 
 
+def check_mode(mode) -> None:
+    """Reject anything but a :class:`SymmetryMode`, such as the string "sym"."""
+    if not isinstance(mode, SymmetryMode):
+        raise ValidationError(f"mode must be a SymmetryMode, got {mode!r}")
+
+
 def _check_interval(interval) -> tuple[float, float]:
     if interval is None:
         return (-1.0, 1.0)
@@ -71,6 +77,7 @@ class MaskedMatrix:
     mode: SymmetryMode = SymmetryMode.ASYMMETRIC
 
     def __post_init__(self):
+        check_mode(self.mode)
         values = as_matrix(self.values)
         mask = np.asarray(self.mask)
         if mask.dtype != bool:
@@ -121,6 +128,7 @@ class EstimatorConfig:
     mode: SymmetryMode = SymmetryMode.ASYMMETRIC
 
     def __post_init__(self):
+        check_mode(self.mode)
         if not (0.0 <= self.eta < 1.0):
             raise ValidationError(f"eta must lie in [0, 1), got {self.eta}")
         if self.sigma_sq is not None and not (0.0 < self.sigma_sq <= 1.0):

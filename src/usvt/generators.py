@@ -18,14 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .estimator import MaskedMatrix, SymmetryMode
-from .linalg import as_matrix, nuclear_norm
+from .estimator import MaskedMatrix, SymmetryMode, check_mode
+from .linalg import as_matrix
 from .rng import make_rng
 
 __all__ = [
-    "GraphonSample",
     "TournamentModel",
-    "MinimaxInstance",
     "GRAPHON_CATALOG",
     "LATENT_CATALOG",
     "gen_low_rank",
@@ -61,30 +59,10 @@ LATENT_CATALOG = {
 
 
 @dataclass(frozen=True)
-class GraphonSample:
-    """Latent uniforms, mean matrix ``m_ij = f(u_i, u_j)`` and a 0/1
-    adjacency matrix with ``E[adjacency | u] = m`` (self-pairs included)."""
-
-    u: np.ndarray
-    m: np.ndarray
-    adjacency: np.ndarray
-
-    def __post_init__(self):
-        m = as_matrix(self.m)
-        a = as_matrix(self.adjacency)
-        if not np.array_equal(m, m.T):
-            raise ValidationError("graphon mean matrix must be symmetric")
-        if m.min() < 0.0 or m.max() > 1.0:
-            raise ValidationError("graphon values must lie in [0, 1]")
-        if not np.array_equal(a, a.T) or not np.isin(a, (0.0, 1.0)).all():
-            raise ValidationError("adjacency must be a symmetric 0/1 matrix")
-
-
-@dataclass(frozen=True)
 class TournamentModel:
-    """Win-probability matrix with ``p_ji = 1 - p_ij`` off the diagonal,
-    zero diagonal, and a strength ordering (strongest team first) under
-    which every row dominates the rows of weaker teams."""
+    """Win-probability matrix with entries in [0, 1], ``p_ji = 1 - p_ij``
+    off the diagonal, zero diagonal, and a strength ordering (strongest
+    team first) under which every row dominates the rows of weaker teams."""
 
     p: np.ndarray
     strength_order: np.ndarray
@@ -94,6 +72,8 @@ class TournamentModel:
         n = p.shape[0]
         if p.shape[0] != p.shape[1]:
             raise ValidationError("tournament matrix must be square")
+        if p.min() < 0.0 or p.max() > 1.0:
+            raise ValidationError("tournament win probabilities must lie in [0, 1]")
         if np.abs(np.diagonal(p)).max(initial=0.0) != 0.0:
             raise ValidationError("tournament diagonal must be zero")
         off = ~np.eye(n, dtype=bool)
@@ -103,23 +83,6 @@ class TournamentModel:
         if sorted(order.tolist()) != list(range(n)):
             raise ValidationError("strength_order must be a permutation of team indices")
         object.__setattr__(self, "strength_order", order)
-
-
-@dataclass(frozen=True)
-class MinimaxInstance:
-    """Worst-case parameter matrix for a given nuclear-norm budget and
-    observation probability."""
-
-    m_matrix: np.ndarray
-    nuclear_budget: float
-    observed_p: float
-
-    def __post_init__(self):
-        m = as_matrix(self.m_matrix)
-        if np.abs(m).max() > 1.0:
-            raise ValidationError("minimax instance entries must lie in [-1, 1]")
-        if nuclear_norm(m) > self.nuclear_budget * (1.0 + 1e-8) + 1e-12:
-            raise ValidationError("minimax instance exceeds its nuclear-norm budget")
 
 
 def gen_low_rank(m: int, n: int, r: int, seed: int) -> np.ndarray:
@@ -246,12 +209,12 @@ def _pairwise_eval(f, x_left, x_right):
     return out
 
 
-def gen_latent_space(n: int, dim: int, f, seed: int):
+def gen_latent_space(n: int, dim: int, f, seed: int) -> np.ndarray:
     """Latent-position mean matrix ``m_ij = f(beta_i, beta_j)``.
 
     Positions ``beta_i`` are uniform on [0, 1]^dim; ``f`` must map into
     [-1, 1] (rejection error otherwise) but need not be symmetric.
-    Returns (m, betas).
+    Returns m.
     """
     if dim < 1:
         raise ValidationError("dim must be >= 1")
@@ -260,7 +223,7 @@ def gen_latent_space(n: int, dim: int, f, seed: int):
     m = _pairwise_eval(f, betas, betas)
     if not np.isfinite(m).all() or np.abs(m).max() > 1.0:
         raise ValidationError("latent function values must lie in [-1, 1]")
-    return m, betas
+    return m
 
 
 def gen_correlation_matrix(n: int, seed: int) -> np.ndarray:
@@ -277,13 +240,14 @@ def gen_correlation_matrix(n: int, seed: int) -> np.ndarray:
     return m
 
 
-def gen_graphon(n: int, f, seed: int) -> GraphonSample:
+def gen_graphon(n: int, f, seed: int):
     """Sample a random graph from a symmetric function [0,1]^2 -> [0,1].
 
     Draws latent uniforms ``u``, evaluates ``m_ij = f(u_i, u_j)`` (upper
     triangle, mirrored, so the result is exactly symmetric) and flips one
     coin per pair on and above the diagonal. Out-of-range values are a
-    rejection error.
+    rejection error. Returns ``(m, adjacency)``: the mean matrix and a
+    symmetric 0/1 matrix with ``E[adjacency | u] = m``, self-pairs included.
     """
     if n < 1:
         raise ValidationError("n must be positive")
@@ -293,8 +257,7 @@ def gen_graphon(n: int, f, seed: int) -> GraphonSample:
     m = sample_upper(n, lambda i, j: full[i, j])
     if not np.isfinite(m).all() or m.min() < 0.0 or m.max() > 1.0:
         raise ValidationError("graphon values must lie in [0, 1]")
-    adjacency = sample_upper(n, lambda i, j: rng.random(i.size) < m[i, j])
-    return GraphonSample(u=u, m=m, adjacency=adjacency)
+    return m, sample_upper(n, lambda i, j: rng.random(i.size) < m[i, j])
 
 
 def gen_bradley_terry(
@@ -368,8 +331,9 @@ def play_tournament(model: TournamentModel, p: float, games_per_pair: int, seed:
     return MaskedMatrix(values=values, mask=mask, mode=SymmetryMode.SKEW_SYMMETRIC)
 
 
-def gen_minimax_instance(m: int, n: int, delta: float, p: float, seed: int) -> MinimaxInstance:
-    """Worst-case matrix with nuclear norm at most ``delta``.
+def gen_minimax_instance(m: int, n: int, delta: float, p: float, seed: int) -> np.ndarray:
+    """Worst-case m x n matrix with entries in [-1, 1] and nuclear norm at
+    most ``delta``, for observation probability ``p``.
 
     Writing ``theta = delta / (m sqrt(n))``, picks among three block-copy
     constructions (random rows copied floor(1/p) times) according to
@@ -404,7 +368,7 @@ def gen_minimax_instance(m: int, n: int, delta: float, p: float, seed: int) -> M
             # rank-one regime at very small p; never overflow the rows.
             copies = min(copies, m // k)
             out[:copies * k] = np.tile(block, (copies, 1))
-    return MinimaxInstance(m_matrix=out, nuclear_budget=delta, observed_p=p)
+    return out
 
 
 def gen_low_rank_adversary(m: int, n: int, r: int, seed: int) -> np.ndarray:
@@ -430,6 +394,7 @@ def bernoulli_mask(rows: int, cols: int, p: float, mode: SymmetryMode, seed: int
         raise ValidationError(f"p must lie in [0, 1], got {p}")
     if rows < 1 or cols < 1:
         raise ValidationError("rows and cols must be positive")
+    check_mode(mode)
     rng = make_rng(seed)
     if mode is SymmetryMode.ASYMMETRIC:
         return rng.random((rows, cols)) < p
@@ -448,6 +413,7 @@ def bernoulli_round(m, mode: SymmetryMode, seed: int) -> np.ndarray:
     m = as_matrix(m)
     if m.min() < 0.0 or m.max() > 1.0:
         raise ValidationError("entries must lie in [0, 1]")
+    check_mode(mode)
     rng = make_rng(seed)
     if mode is SymmetryMode.ASYMMETRIC:
         return (rng.random(m.shape) < m).astype(float)

@@ -151,12 +151,11 @@ def _realize_blockmodel(prm, n, p, model_seed, data_seed):
 
 def _latent_truth(prm, n, p, seed):
     f = _catalog_lookup(LATENT_CATALOG, prm["f"], "latent function")
-    return gen_latent_space(n, int(prm["dim"]), f, seed)[0]
+    return gen_latent_space(n, int(prm["dim"]), f, seed)
 
 
 def _realize_graphon(prm, n, p, model_seed, data_seed):
-    sample = gen_graphon(n, _catalog_lookup(GRAPHON_CATALOG, prm["f"], "graphon"), model_seed)
-    return sample.m, sample.adjacency
+    return gen_graphon(n, _catalog_lookup(GRAPHON_CATALOG, prm["f"], "graphon"), model_seed)
 
 
 def _realize_bradley_terry(prm, n, p, model_seed, data_seed):
@@ -167,7 +166,7 @@ def _realize_bradley_terry(prm, n, p, model_seed, data_seed):
 
 def _minimax_truth(prm, n, p, seed):
     # Nuclear budget theta * n^{3/2}; the construction requires p < 1.
-    return gen_minimax_instance(n, n, float(prm["theta"]) * n * math.sqrt(n), p, seed).m_matrix
+    return gen_minimax_instance(n, n, float(prm["theta"]) * n * math.sqrt(n), p, seed)
 
 
 #: Every model family the harness sweeps, by kind.

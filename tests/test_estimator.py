@@ -13,6 +13,7 @@ from usvt.estimator import (
     trivial_estimate,
     usvt_estimate,
 )
+from usvt.generators import bernoulli_mask, bernoulli_round
 from usvt.linalg import svd
 from usvt.rng import make_rng
 
@@ -330,6 +331,23 @@ class TestEstimatorConfig:
             EstimatorConfig(eta=0.01, sigma_sq=0.0)
         with pytest.raises(ValidationError):
             EstimatorConfig(eta=0.01, sigma_sq=1.5)
+
+
+#: Every entry point that takes a symmetry mode, called with ``mode``.
+_MODE_TAKERS = {
+    "MaskedMatrix": lambda mode: MaskedMatrix(np.zeros((4, 4)), full_mask((4, 4)), mode),
+    "EstimatorConfig": lambda mode: EstimatorConfig(eta=0.01, mode=mode),
+    "bernoulli_mask": lambda mode: bernoulli_mask(4, 4, 0.5, mode, 1),
+    "bernoulli_round": lambda mode: bernoulli_round(np.full((4, 4), 0.5), mode, 1),
+}
+
+
+@pytest.mark.parametrize("mode", ["asym", "sym", "skew"])
+@pytest.mark.parametrize("entry", sorted(_MODE_TAKERS))
+def test_string_mode_rejected(entry, mode):
+    # The enum's value is not the enum: "sym" would be read as another mode.
+    with pytest.raises(ValidationError, match="mode"):
+        _MODE_TAKERS[entry](mode)
 
 
 class TestSpectralCut:

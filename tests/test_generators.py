@@ -10,6 +10,7 @@ from usvt.evaluation import spectral_concentration_trial
 from usvt.generators import (
     GRAPHON_CATALOG,
     LATENT_CATALOG,
+    TournamentModel,
     bernoulli_mask,
     bernoulli_round,
     gen_blockmodel,
@@ -133,14 +134,14 @@ class TestDistanceMatrix:
 
 class TestLatentSpace:
     def test_constant_function(self):
-        m, betas = gen_latent_space(10, 2, lambda x, y: 0.25, seed=12)
+        m = gen_latent_space(10, 2, lambda x, y: 0.25, seed=12)
+        assert m.shape == (10, 10)
         assert np.all(m == 0.25)
         assert numerical_rank(m, 1e-10) == 1
-        assert betas.shape == (10, 2)
 
     def test_gram_structure_rank(self):
         dim = 3
-        m, _ = gen_latent_space(25, dim, LATENT_CATALOG["dot"], seed=13)
+        m = gen_latent_space(25, dim, LATENT_CATALOG["dot"], seed=13)
         assert np.abs(m - m.T).max() < 1e-15
         assert numerical_rank(m, 1e-8) <= dim
 
@@ -189,13 +190,13 @@ class TestCorrelation:
 
 class TestGraphon:
     def test_zero_graphon(self):
-        gs = gen_graphon(8, lambda u, v: np.zeros_like(u * v), seed=18)
-        assert np.all(gs.adjacency == 0.0)
-        assert np.all(gs.m == 0.0)
+        m, adjacency = gen_graphon(8, lambda u, v: np.zeros_like(u * v), seed=18)
+        assert np.all(adjacency == 0.0)
+        assert np.all(m == 0.0)
 
     def test_one_graphon_complete_with_self_loops(self):
-        gs = gen_graphon(8, lambda u, v: np.ones_like(u * v), seed=19)
-        assert np.all(gs.adjacency == 1.0)
+        _, adjacency = gen_graphon(8, lambda u, v: np.ones_like(u * v), seed=19)
+        assert np.all(adjacency == 1.0)
 
     def test_mean_density(self):
         # E f(U, V) = 1/2 for f = (u + v) / 2.
@@ -203,15 +204,25 @@ class TestGraphon:
         count = 0
         trials = 300
         for t in range(trials):
-            gs = gen_graphon(30, GRAPHON_CATALOG["mean"], seed=mix_seed(70, t))
+            _, adjacency = gen_graphon(30, GRAPHON_CATALOG["mean"], seed=mix_seed(70, t))
             off = ~np.eye(30, dtype=bool)
-            total += gs.adjacency[off].sum()
+            total += adjacency[off].sum()
             count += off.sum()
         assert total / count == pytest.approx(0.5, abs=0.02)
 
     def test_conditional_mean_matches_m(self):
-        gs = gen_graphon(6, GRAPHON_CATALOG["product"], seed=20)
-        assert np.allclose(gs.m, np.outer(gs.u, gs.u))
+        # For f(u, v) = u v the diagonal holds u_i^2, which recovers u.
+        m, _ = gen_graphon(6, GRAPHON_CATALOG["product"], seed=20)
+        u = np.sqrt(np.diagonal(m))
+        assert np.allclose(m, np.outer(u, u))
+
+    @pytest.mark.parametrize("name", sorted(GRAPHON_CATALOG))
+    def test_catalog_sample_well_formed(self, name):
+        m, adjacency = gen_graphon(25, GRAPHON_CATALOG[name], seed=mix_seed(71, len(name)))
+        assert np.array_equal(m, m.T)
+        assert m.min() >= 0.0 and m.max() <= 1.0
+        assert np.array_equal(adjacency, adjacency.T)
+        assert np.isin(adjacency, (0.0, 1.0)).all()
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
@@ -253,6 +264,11 @@ class TestBradleyTerry:
     def test_unknown_family(self):
         with pytest.raises(ValidationError):
             gen_bradley_terry(3, seed=1, family="elo")
+
+    def test_probability_out_of_range_rejected(self):
+        # p + p^T = 1 off the diagonal, yet 1.5 and -0.5 are no probabilities.
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            TournamentModel(p=[[0.0, 1.5], [-0.5, 0.0]], strength_order=[0, 1])
 
 
 class TestPlayTournament:
@@ -298,37 +314,55 @@ class TestPlayTournament:
 
 class TestMinimax:
     def test_zero_budget(self):
-        inst = gen_minimax_instance(10, 12, 0.0, 0.4, seed=35)
-        assert np.array_equal(inst.m_matrix, np.zeros((10, 12)))
+        out = gen_minimax_instance(10, 12, 0.0, 0.4, seed=35)
+        assert np.array_equal(out, np.zeros((10, 12)))
+
+    # The three regimes and both boundaries. With m = 8, n = 16 and p = 0.25,
+    # theta = 0.25 gives m theta sqrt(p) = 1 and theta = 0.5 gives
+    # theta = sqrt(p), both exactly. The p = 0.5 cases meet them in inexact
+    # arithmetic. At p = 0.05, theta = 0.1 copies one row of amplitude < 1
+    # to all m rows, and theta = 0.9 copies int(m p) = 0 rows.
+    @pytest.mark.parametrize("theta, p", [
+        (0.125, 0.25), (0.25, 0.25), (0.375, 0.25), (0.5, 0.25), (0.75, 0.25), (1.0, 0.25),
+        (0.125, 0.5), (0.25, 0.5), (math.sqrt(0.5), 0.5), (0.9, 0.5),
+        (0.1, 0.05), (0.9, 0.05),
+    ])
+    def test_bounded_entries_within_budget(self, theta, p):
+        m, n = 8, 16
+        delta = theta * m * math.sqrt(n)
+        out = gen_minimax_instance(m, n, delta, p, seed=mix_seed(39, round(theta * 1000), round(p * 100)))
+        assert out.shape == (m, n)
+        assert np.abs(out).max() <= 1.0
+        assert nuclear_norm(out) <= delta * (1.0 + 1e-8) + 1e-12
 
     def test_block_copy_case(self):
         m, n, p = 40, 50, 0.25
         theta = 0.4  # theta <= sqrt(p) = 0.5 and m * theta * sqrt(p) = 8 >= 1
         delta = theta * m * math.sqrt(n)
-        inst = gen_minimax_instance(m, n, delta, p, seed=36)
+        out = gen_minimax_instance(m, n, delta, p, seed=36)
         k = int(m * theta * math.sqrt(p))
-        assert numerical_rank(inst.m_matrix, 1e-8) <= k
-        assert nuclear_norm(inst.m_matrix) <= delta * (1 + 1e-8)
+        assert numerical_rank(out, 1e-8) <= k
+        assert nuclear_norm(out) <= delta * (1 + 1e-8)
         # rows i and i + k of the copied block agree
-        assert np.array_equal(inst.m_matrix[0], inst.m_matrix[k])
+        assert np.array_equal(out[0], out[k])
 
     def test_rank_one_case(self):
         m, n, p = 12, 15, 0.3
         theta = 0.01  # m * theta * sqrt(p) < 1
         delta = theta * m * math.sqrt(n)
-        inst = gen_minimax_instance(m, n, delta, p, seed=37)
-        assert numerical_rank(inst.m_matrix, 1e-8) <= 1
+        out = gen_minimax_instance(m, n, delta, p, seed=37)
+        assert numerical_rank(out, 1e-8) <= 1
         amp = m * theta * math.sqrt(p)
-        assert np.abs(inst.m_matrix).max() <= amp + 1e-15
-        assert nuclear_norm(inst.m_matrix) <= delta * (1 + 1e-8)
+        assert np.abs(out).max() <= amp + 1e-15
+        assert nuclear_norm(out) <= delta * (1 + 1e-8)
 
     def test_large_theta_case(self):
         m, n, p = 30, 30, 0.2
         theta = 0.9  # theta > sqrt(p)
         delta = theta * m * math.sqrt(n)
-        inst = gen_minimax_instance(m, n, delta, p, seed=38)
-        assert numerical_rank(inst.m_matrix, 1e-8) <= int(m * p)
-        assert nuclear_norm(inst.m_matrix) <= delta * (1 + 1e-8)
+        out = gen_minimax_instance(m, n, delta, p, seed=38)
+        assert numerical_rank(out, 1e-8) <= int(m * p)
+        assert nuclear_norm(out) <= delta * (1 + 1e-8)
 
     def test_p_range(self):
         with pytest.raises(ValidationError):
@@ -409,11 +443,11 @@ def test_all_generators_deterministic():
     cases = [
         lambda s: gen_low_rank(6, 7, 2, s),
         lambda s: gen_blockmodel(8, 2, np.full((2, 2), 0.5), s)[1],
-        lambda s: gen_latent_space(6, 2, LATENT_CATALOG["dot"], s)[0],
+        lambda s: gen_latent_space(6, 2, LATENT_CATALOG["dot"], s),
         lambda s: gen_correlation_matrix(6, s),
-        lambda s: gen_graphon(6, GRAPHON_CATALOG["mean"], s).adjacency,
+        lambda s: gen_graphon(6, GRAPHON_CATALOG["mean"], s)[1],
         lambda s: gen_bradley_terry(6, s).p,
-        lambda s: gen_minimax_instance(6, 6, 3.0, 0.4, s).m_matrix,
+        lambda s: gen_minimax_instance(6, 6, 3.0, 0.4, s),
         lambda s: gen_low_rank_adversary(6, 6, 2, s),
         lambda s: bernoulli_mask(6, 6, 0.5, ASYM, s).astype(float),
         lambda s: bernoulli_round(np.full((6, 6), 0.5), ASYM, s),
@@ -434,10 +468,6 @@ def _digest(*arrays):
     return h.hexdigest()
 
 
-def _graphon_fields(sample):
-    return sample.u, sample.m, sample.adjacency
-
-
 def _bt_fields(tm):
     return tm.p, tm.strength_order
 
@@ -448,7 +478,7 @@ def _played(p, seed):
 
 
 def _minimax(theta, p, seed):
-    return (gen_minimax_instance(13, 11, theta * 13 * math.sqrt(11), p, seed).m_matrix,)
+    return (gen_minimax_instance(13, 11, theta * 13 * math.sqrt(11), p, seed),)
 
 
 _PROBS = np.array([[0.9, 0.2, 0.4], [0.2, 0.7, 0.1], [0.4, 0.1, 0.6]])
@@ -466,8 +496,8 @@ _PINNED = {
         "af5e46849067e0ea0df430f3b2964eae9c16a6cbf90d305ac19f4af382c6c0e6",
     ),
     "graphon": (
-        lambda: _graphon_fields(gen_graphon(13, GRAPHON_CATALOG["product"], seed=102)),
-        "05205b1fdd8cffcd9ae4c5d61f84954898c71beab04b42ea7cf3c90426021f47",
+        lambda: gen_graphon(13, GRAPHON_CATALOG["product"], seed=102),
+        "1951de43a1df9e61cd7d8634ff1a35f7dce6edddd53dfb83a5d08a5ec0192704",
     ),
     "bradley_terry": (
         lambda: _bt_fields(gen_bradley_terry(13, seed=103)),

@@ -256,3 +256,11 @@ class TestEstimateFile:
         report, diag = estimate_file(src, tmp_path / "out.csv", None, eta=0.01,
                                      interval=(0.0, 1.0), mode=SymmetryMode.SYMMETRIC)
         assert diag["mode"] == "sym"
+
+    def test_string_mode_rejected_before_writing(self, tmp_path):
+        src = tmp_path / "in.csv"
+        write_matrix_csv(src, np.full((4, 4), 0.5))
+        out, rpt = tmp_path / "out.csv", tmp_path / "diag.json"
+        with pytest.raises(ValidationError, match="mode"):
+            estimate_file(src, out, rpt, eta=0.01, mode="sym")
+        assert not out.exists() and not rpt.exists()

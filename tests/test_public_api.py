@@ -7,8 +7,8 @@ import usvt
 #: ``usvt.__all__`` must be added to or removed from this list too.
 PUBLIC = [
     "CellResult", "CheckReport", "CheckResult", "EstimateReport", "EstimatorConfig",
-    "ExperimentReport", "ExperimentSpec", "GRAPHON_CATALOG", "GraphonSample", "LATENT_CATALOG", "MaskedMatrix", "MatrixFormatError",
-    "MinimaxInstance", "ModelSpec", "RateFit", "SvdFactorization", "SymmetryMode",
+    "ExperimentReport", "ExperimentSpec", "GRAPHON_CATALOG", "LATENT_CATALOG", "MaskedMatrix",
+    "MatrixFormatError", "ModelSpec", "RateFit", "SvdFactorization", "SymmetryMode",
     "TournamentModel", "ValidationError", "__version__", "bernoulli_mask",
     "bernoulli_round", "bradley_terry_bracket", "check_suite", "denoise_by_threshold",
     "denoise_error_constant", "distance_bracket", "estimate_file", "frobenius_norm",
@@ -43,9 +43,7 @@ OPTIONS = {
     "ExperimentReport": ("spec", "cells", "rate_fits"),
     "ExperimentSpec": ("model", "n_grid", "p_grid", "eta", "sigma_sq", "trials", "seed",
                        "baseline_trivial"),
-    "GraphonSample": ("u", "m", "adjacency"),
     "MaskedMatrix": ("values", "mask", "mode"),
-    "MinimaxInstance": ("m_matrix", "nuclear_budget", "observed_p"),
     "ModelSpec": ("kind", "params"),
     "RateFit": ("ns", "mses", "slope", "intercept", "r_squared"),
     "SvdFactorization": ("singular_values", "left_vectors", "right_vectors"),
