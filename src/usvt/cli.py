@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--config", help="JSON ExperimentSpec file")
     exp.add_argument("--model", help="model kind (inline alternative to --config)")
     exp.add_argument("--model-param", action="append", metavar="KEY=VALUE",
-                     help="model parameter, repeatable; values parsed as JSON when possible")
+                     help="model parameter, repeatable; values parsed as JSON when possible, "
+                          "then typed by the model family")
     exp.add_argument("--n-grid", type=int, nargs="+", help="matrix sizes")
     exp.add_argument("--p-grid", type=float, nargs="+", help="observation probabilities")
     exp.add_argument("--eta", type=float)

@@ -81,7 +81,7 @@ class MaskedMatrix:
         values = as_matrix(self.values)
         mask = np.asarray(self.mask)
         if mask.dtype != bool:
-            mask = mask.astype(bool)
+            raise ValidationError(f"mask must be Boolean, got dtype {mask.dtype}")
         if mask.shape != values.shape:
             raise ValidationError(
                 f"mask shape {mask.shape} does not match values shape {values.shape}"

@@ -60,9 +60,12 @@ LATENT_CATALOG = {
 
 @dataclass(frozen=True)
 class TournamentModel:
-    """Win-probability matrix with entries in [0, 1], ``p_ji = 1 - p_ij``
-    off the diagonal, zero diagonal, and a strength ordering (strongest
-    team first) under which every row dominates the rows of weaker teams."""
+    """Win-probability matrix and strength ordering (strongest team first).
+    The constructor checks that ``p`` is square with entries in [0, 1], a
+    zero diagonal and ``p_ji = 1 - p_ij`` off it, and that ``strength_order``
+    is a permutation of the teams. That each row dominates the rows of weaker
+    teams is not checked here; ``usvt check --suite generators`` certifies
+    it on models drawn by :func:`gen_bradley_terry`."""
 
     p: np.ndarray
     strength_order: np.ndarray
@@ -278,10 +281,11 @@ def gen_bradley_terry(
     if n < 1:
         raise ValidationError("n must be positive")
     if family == "parametric":
-        if strengths is None:
-            raise ValidationError("parametric family requires strengths")
-        a = np.asarray(strengths, dtype=float)
-        if a.shape != (n,) or (a <= 0).any() or not np.isfinite(a).all():
+        try:
+            a = np.asarray(strengths, dtype=float)
+        except (TypeError, ValueError):
+            a = None
+        if a is None or a.shape != (n,) or (a <= 0).any() or not np.isfinite(a).all():
             raise ValidationError("strengths must be n positive finite numbers")
         raw = a[:, None] / (a[:, None] + a[None, :])
         order = np.argsort(-a, kind="stable")

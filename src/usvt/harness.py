@@ -85,14 +85,13 @@ SYM = SymmetryMode.SYMMETRIC
 #: Threshold slack of :func:`estimate_file` and :class:`ExperimentSpec` when none is given.
 DEFAULT_ETA = 0.01
 
-#: Default of a parameter that has none: the caller must give it.
-REQUIRED = object()
-
 
 @dataclass(frozen=True)
 class Family:
-    """One model family: accepted parameter names with their defaults
-    (:data:`REQUIRED` for none), symmetry mode, known value interval,
+    """One model family: each accepted parameter with its kind (``int`` or
+    ``float``: required; a tuple of names: one of them, the first by default;
+    ``None``: a structured value the generator checks; any other value: the
+    default, whose type is the kind), symmetry mode, known value interval,
     ``realize(prm, n, p, model_seed, data_seed) -> (truth, data)`` with
     ``data`` a full matrix seen through a Bernoulli(p) mask in ``mode`` or a
     self-masked :class:`MaskedMatrix`, and ``bracket(prm, n, p)``, the rate
@@ -109,13 +108,6 @@ def _observed(x: np.ndarray, mask: np.ndarray, mode: SymmetryMode) -> MaskedMatr
     return MaskedMatrix(values=np.where(mask, x, 0.0), mask=mask, mode=mode)
 
 
-def _catalog_lookup(catalog, name, what):
-    try:
-        return catalog[name]
-    except KeyError:
-        raise ValidationError(f"unknown {what} {name!r}; choose from {sorted(catalog)}") from None
-
-
 def _exact(truth):
     """Realize function of a family whose data are the exact entries of
     the truth ``truth(prm, n, p, model_seed)``."""
@@ -126,88 +118,80 @@ def _exact(truth):
 
 
 def _realize_lowrank(prm, n, p, model_seed, data_seed):
-    truth = gen_low_rank(n, n, int(prm["r"]), model_seed)
+    truth = gen_low_rank(n, n, prm["r"], model_seed)
     if prm["noise"] == "none":
         return truth, truth
-    if prm["noise"] == "sign":
-        flips = bernoulli_round((truth + 1.0) / 2.0, ASYM, mix_seed(model_seed, 10))
-        return truth, 2.0 * flips - 1.0
-    raise ValidationError(f"unknown lowrank noise model {prm['noise']!r}")
+    flips = bernoulli_round((truth + 1.0) / 2.0, ASYM, mix_seed(model_seed, 10))
+    return truth, 2.0 * flips - 1.0
 
 
 def _realize_blockmodel(prm, n, p, model_seed, data_seed):
-    k = int(prm["k"])
-    if prm["block_probs"] is None:
-        probs = np.full((k, k), float(prm["out_prob"]))
-        np.fill_diagonal(probs, float(prm["in_prob"]))
-    else:
-        probs = np.asarray(prm["block_probs"], dtype=float)
-    truth, adjacency = gen_blockmodel(n, k, probs, model_seed)
+    probs = prm["block_probs"]
+    if probs is None:
+        probs = np.full((prm["k"], prm["k"]), prm["out_prob"])
+        np.fill_diagonal(probs, prm["in_prob"])
+    truth, adjacency = gen_blockmodel(n, prm["k"], probs, model_seed)
     if prm["observe_diagonal"]:
         return truth, adjacency
     mask = bernoulli_mask(n, n, p, SYM, data_seed) & ~np.eye(n, dtype=bool)
     return truth, _observed(adjacency, mask, SYM)
 
 
-def _latent_truth(prm, n, p, seed):
-    f = _catalog_lookup(LATENT_CATALOG, prm["f"], "latent function")
-    return gen_latent_space(n, int(prm["dim"]), f, seed)
-
-
-def _realize_graphon(prm, n, p, model_seed, data_seed):
-    return gen_graphon(n, _catalog_lookup(GRAPHON_CATALOG, prm["f"], "graphon"), model_seed)
-
-
 def _realize_bradley_terry(prm, n, p, model_seed, data_seed):
     # Pairs play with probability p: the tournament draw is the mask.
     tm = gen_bradley_terry(n, model_seed, prm["family"], prm["strengths"])
-    return tm.p, play_tournament(tm, p, int(prm["games_per_pair"]), data_seed)
-
-
-def _minimax_truth(prm, n, p, seed):
-    # Nuclear budget theta * n^{3/2}; the construction requires p < 1.
-    return gen_minimax_instance(n, n, float(prm["theta"]) * n * math.sqrt(n), p, seed)
+    return tm.p, play_tournament(tm, p, prm["games_per_pair"], data_seed)
 
 
 #: Every model family the harness sweeps, by kind.
 FAMILIES = {
     "zero": Family({}, ASYM, None, _exact(lambda prm, n, p, seed: np.zeros((n, n)))),
     "lowrank": Family(
-        {"r": REQUIRED, "noise": "none"}, ASYM, None, _realize_lowrank,
-        lambda prm, n, p: min(math.sqrt(int(prm["r"]) / (n * p)), 1.0),
+        {"r": int, "noise": ("none", "sign")}, ASYM, None, _realize_lowrank,
+        lambda prm, n, p: min(math.sqrt(prm["r"] / (n * p)), 1.0),
     ),
     "lowrank_adversary": Family(
-        {"r": REQUIRED}, ASYM, None,
-        _exact(lambda prm, n, p, seed: gen_low_rank_adversary(n, n, int(prm["r"]), seed)),
-        lambda prm, n, p: low_rank_lower_bound(n, int(prm["r"]), p),
+        {"r": int}, ASYM, None,
+        _exact(lambda prm, n, p, seed: gen_low_rank_adversary(n, n, prm["r"], seed)),
+        lambda prm, n, p: low_rank_lower_bound(n, prm["r"], p),
     ),
     "blockmodel": Family(
-        {"k": REQUIRED, "block_probs": None, "in_prob": 0.8, "out_prob": 0.2,
+        {"k": int, "block_probs": None, "in_prob": 0.8, "out_prob": 0.2,
          "observe_diagonal": True},
         SYM, (0.0, 1.0), _realize_blockmodel,
-        lambda prm, n, p: min(math.sqrt(int(prm["k"]) / (n * p)), 1.0),
+        lambda prm, n, p: min(math.sqrt(prm["k"] / (n * p)), 1.0),
     ),
     "distance": Family(
-        {"dim": 1, "metric": "euclidean"}, SYM, (0.0, 1.0),
+        {"dim": 1, "metric": ("euclidean", "manhattan", "chebyshev")}, SYM, (0.0, 1.0),
         _exact(lambda prm, n, p, seed: gen_distance_matrix(
-            uniform_points(n, int(prm["dim"]), seed), prm["metric"])),
-        lambda prm, n, p: distance_bracket(n, p, lambda d: math.ceil(1.0 / d) ** int(prm["dim"])),
+            uniform_points(n, prm["dim"], seed), prm["metric"])),
+        lambda prm, n, p: distance_bracket(n, p, lambda d: math.ceil(1.0 / d) ** prm["dim"]),
     ),
     "latent": Family(
-        {"dim": 1, "f": "dot"}, ASYM, None, _exact(_latent_truth),
-        lambda prm, n, p: lipschitz_latent_bracket(n, p, int(prm["dim"])),
+        {"dim": 1, "f": tuple(LATENT_CATALOG)}, ASYM, None,
+        _exact(lambda prm, n, p, seed: gen_latent_space(
+            n, prm["dim"], LATENT_CATALOG[prm["f"]], seed)),
+        lambda prm, n, p: lipschitz_latent_bracket(n, p, prm["dim"]),
     ),
     "correlation": Family(
         {}, SYM, None, _exact(lambda prm, n, p, seed: gen_correlation_matrix(n, seed)),
         lambda prm, n, p: psd_bracket(n, p),
     ),
-    "graphon": Family({"f": "mean"}, SYM, (0.0, 1.0), _realize_graphon),
+    "graphon": Family(
+        {"f": tuple(GRAPHON_CATALOG)}, SYM, (0.0, 1.0),
+        lambda prm, n, p, model_seed, data_seed: gen_graphon(
+            n, GRAPHON_CATALOG[prm["f"]], model_seed),
+    ),
     "bradley_terry": Family(
-        {"family": "nonparametric_monotone", "strengths": None, "games_per_pair": 1},
+        {"family": ("nonparametric_monotone", "parametric"), "strengths": None,
+         "games_per_pair": 1},
         SymmetryMode.SKEW_SYMMETRIC, (0.0, 1.0), _realize_bradley_terry,
         lambda prm, n, p: bradley_terry_bracket(n, p),
     ),
-    "minimax": Family({"theta": REQUIRED}, ASYM, None, _exact(_minimax_truth)),
+    # Nuclear budget theta * n^{3/2}; the construction requires p < 1.
+    "minimax": Family({"theta": float}, ASYM, None, _exact(
+        lambda prm, n, p, seed: gen_minimax_instance(
+            n, n, prm["theta"] * n * math.sqrt(n), p, seed))),
 }
 
 MODEL_KINDS = tuple(FAMILIES)
@@ -215,8 +199,8 @@ MODEL_KINDS = tuple(FAMILIES)
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Model family plus its parameters; :data:`FAMILIES` lists the kinds
-    and, for each, the parameter names it accepts with their defaults."""
+    """Model family plus its parameters, each converted to the kind that
+    :data:`FAMILIES` gives it (a :class:`ValidationError` if it does not)."""
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -227,17 +211,21 @@ class ModelSpec:
             raise ValidationError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
         if not isinstance(self.params, dict):
             raise ValidationError(f"params must be an object, got {self.params!r}")
-        object.__setattr__(self, "params", dict(self.params))
         bad = [f"unknown parameter {k!r}" for k in self.params if k not in family.params]
         bad += [f"missing parameter {k!r}" for k, v in family.params.items()
-                if v is REQUIRED and k not in self.params]
+                if isinstance(v, type) and k not in self.params]
         if bad:
             accepted = ", ".join(sorted(family.params)) or "none"
             raise ValidationError(f"{self.kind} model: {'; '.join(bad)}; accepted: {accepted}")
+        object.__setattr__(self, "params", {
+            k: _convert(f"{self.kind} parameter {k!r}", v, family.params[k])
+            for k, v in self.params.items()})
 
     def settings(self) -> dict:
         """The parameters with the family's defaults filled in."""
-        return {**FAMILIES[self.kind].params, **self.params}
+        defaults = {k: v[0] if isinstance(v, tuple) else v
+                    for k, v in FAMILIES[self.kind].params.items()}
+        return {**defaults, **self.params}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
@@ -259,11 +247,19 @@ def _check_keys(cls, d) -> None:
 
 
 def _convert(name, value, kind):
-    """``kind(value)`` for ``kind`` int or float, or a :class:`ValidationError`
-    naming field ``name``. A bool is not a number, and an int field takes
-    only an integral value: ``2.5`` is rejected, not truncated."""
+    """``value`` as ``kind``, or a :class:`ValidationError` naming field
+    ``name``. ``kind`` is a type (int, float or bool) or a :class:`Family`
+    parameter kind. Only a bool is a bool, and an int field takes only an
+    integral value: ``2.5`` is rejected, not truncated."""
+    if kind is None:
+        return value
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        raise ValidationError(f"{name} must be one of {kind}, got {value!r}")
+    kind = kind if isinstance(kind, type) else type(kind)
     try:
-        if isinstance(value, bool):
+        if isinstance(value, bool) != (kind is bool):
             raise TypeError
         converted = kind(value)
         if kind is int and not isinstance(value, (int, str)) and converted != value:
@@ -297,13 +293,11 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "n_grid", _convert_grid("n_grid", self.n_grid, int))
         object.__setattr__(self, "p_grid", _convert_grid("p_grid", self.p_grid, float))
-        for name, kind in (("eta", float), ("trials", int), ("seed", int)):
+        for name, kind in (("eta", float), ("trials", int), ("seed", int),
+                           ("baseline_trivial", bool)):
             object.__setattr__(self, name, _convert(name, getattr(self, name), kind))
         if self.sigma_sq is not None:
             object.__setattr__(self, "sigma_sq", _convert("sigma_sq", self.sigma_sq, float))
-        if not isinstance(self.baseline_trivial, bool):
-            raise ValidationError(
-                f"baseline_trivial must be a bool, got {self.baseline_trivial!r}")
         if any(n < 1 for n in self.n_grid):
             raise ValidationError("n_grid: matrix sizes must be positive")
         if any(not 0.0 <= p <= 1.0 for p in self.p_grid):
@@ -387,7 +381,7 @@ def _run_cell(spec: ExperimentSpec, i: int, j: int) -> CellResult:
             ranks.append(report.retained_rank)
             if spec.baseline_trivial:
                 trivial.append(mse(trivial_estimate(data, interval), truth))
-    except Exception as exc:
+    except (ValidationError, np.linalg.LinAlgError) as exc:
         return CellResult(
             n=n, p=p, mean_mse=None, std_mse=None, mean_retained_rank=None,
             bracket=None, trivial_mean_mse=None,
@@ -409,8 +403,9 @@ def _run_cell(spec: ExperimentSpec, i: int, j: int) -> CellResult:
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    """Sweep the full grid; deterministic given the spec. Failed cells
-    carry a recorded reason; the rest complete."""
+    """Sweep the full grid; deterministic given the spec. A cell that raises
+    :class:`ValidationError` or ``numpy.linalg.LinAlgError`` records it as
+    its failure and the rest complete; any other exception propagates."""
     n_p = len(spec.p_grid)
     cells = [_run_cell(spec, i, j) for i in range(len(spec.n_grid)) for j in range(n_p)]
     fits = {}

@@ -33,10 +33,14 @@ DEFAULT_RANK_TOL = 1e-10
 def as_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a validated 2-D float64 array.
 
-    Raises :class:`ValidationError` if the input is not two-dimensional,
-    has a zero dimension, or contains NaN/infinity.
+    Raises :class:`ValidationError` if the input is not numbers in
+    equal-length rows, is not two-dimensional, has a zero dimension, or
+    contains NaN/infinity.
     """
-    out = np.asarray(a, dtype=float)
+    try:
+        out = np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError("matrix entries must be numbers in equal-length rows") from None
     if out.ndim != 2:
         raise ValidationError(f"expected a 2-D matrix, got ndim={out.ndim}")
     if out.shape[0] < 1 or out.shape[1] < 1:

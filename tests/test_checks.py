@@ -1,10 +1,12 @@
 import inspect
 
+import numpy as np
 import pytest
 
 from usvt.checks import (
     DEFAULT_SEED,
     _CHECKS,
+    _tournament_monotone,
     check_denoise_bound,
     check_generator_certificates,
     check_negative_control,
@@ -12,6 +14,8 @@ from usvt.checks import (
     check_suite,
 )
 from usvt.errors import ValidationError
+from usvt.generators import gen_bradley_terry
+from usvt.rng import make_rng
 
 
 def test_denoise_battery_small():
@@ -38,6 +42,35 @@ def test_generator_certificates_small():
     result = check_generator_certificates(seed=20240)
     assert result.ok
     assert result.passed == 100
+
+
+def _monotone_loop(p, order, tol=1e-12):
+    # Reference: every ranked row dominates each weaker row, off both rows' columns.
+    n = p.shape[0]
+    ranked = p[np.ix_(order, order)]
+    for a in range(n - 1):
+        for b in range(a + 1, n):
+            cols = np.ones(n, dtype=bool)
+            cols[[a, b]] = False
+            if ((ranked[a] - ranked[b])[cols] < -tol).any():
+                return False
+    return True
+
+
+def test_tournament_monotone_matches_loop():
+    rng = make_rng(5)
+    verdicts = set()
+    for t in range(300):
+        n = int(rng.integers(1, 10))
+        if t % 2:
+            p, order = rng.random((n, n)), rng.permutation(n)
+        else:
+            tm = gen_bradley_terry(n, t)
+            p, order = tm.p, tm.strength_order
+        verdict = _tournament_monotone(p, order)
+        assert verdict == _monotone_loop(p, order), t
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_negative_control_fails():

@@ -99,6 +99,23 @@ def write_config(tmp_path, config):
     ({"seed": True}, "seed"),
     ({"p_grid": [True]}, "p_grid"),
     ({"sigma_sq": True}, "sigma_sq"),
+    *[({"model": {"kind": kind, "params": params}}, f"parameter {name!r}")
+      for kind, params, name in [
+          ("lowrank", {"r": 2.5}, "r"),
+          ("lowrank", {"r": True}, "r"),
+          ("lowrank", {"r": "two"}, "r"),
+          ("blockmodel", {"k": 2.7}, "k"),
+          ("distance", {"dim": 1.9}, "dim"),
+          ("bradley_terry", {"games_per_pair": 2.9}, "games_per_pair"),
+          ("minimax", {"theta": True}, "theta"),
+          ("blockmodel", {"k": 2, "in_prob": True}, "in_prob"),
+          ("blockmodel", {"k": 2, "observe_diagonal": "no"}, "observe_diagonal"),
+          ("lowrank", {"r": 2, "noise": "gauss"}, "noise"),
+          ("distance", {"metric": "cosine"}, "metric"),
+          ("latent", {"f": "nope"}, "f"),
+          ("graphon", {"f": "nope"}, "f"),
+          ("bradley_terry", {"family": "elo"}, "family"),
+      ]],
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, override, field):
     config = {"model": {"kind": "zero"}, "n_grid": [8], "p_grid": [1.0], **override}

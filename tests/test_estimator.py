@@ -78,6 +78,10 @@ class TestMaskedMatrix:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             MaskedMatrix(np.ones((2, 3)), np.ones((3, 2), bool))
+        # A mask of another dtype is rejected, not read as "nonzero = observed".
+        for mask in ([[0.5, 0.0], [2.0, -1.0]], [[1, 0], [1, 1]]):
+            with pytest.raises(ValidationError, match="mask must be Boolean"):
+                MaskedMatrix(np.ones((2, 2)), mask)
 
     def test_symmetric_requires_square(self):
         with pytest.raises(ValidationError):

@@ -8,7 +8,6 @@ from usvt.estimator import SymmetryMode
 from usvt.harness import (
     FAMILIES,
     MODEL_KINDS,
-    REQUIRED,
     ExperimentSpec,
     ModelSpec,
     estimate_file,
@@ -51,6 +50,10 @@ class TestSpecs:
         spec = small_spec(n_grid=["8", 16.0], trials="5", seed=3.0)
         assert spec.n_grid == (8, 16) and spec.trials == 5 and spec.seed == 3
         assert all(type(v) is int for v in (*spec.n_grid, spec.trials, spec.seed))
+        for kind, params, typed in (("lowrank", {"r": 3.0}, 3), ("lowrank", {"r": "3"}, 3),
+                                    ("minimax", {"theta": 1}, 1.0)):
+            (value,) = ModelSpec(kind, params).params.values()
+            assert value == typed and type(value) is type(typed)
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ValidationError, match="in_porb") as info:
@@ -64,9 +67,21 @@ class TestSpecs:
             ModelSpec("minimax")
 
     def test_every_family_param_accepted(self):
+        # Every default converts to itself, and every accepted name of every
+        # name parameter runs a tiny cell.
+        extra = {"parametric": {"strengths": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}}
         for kind, family in FAMILIES.items():
-            required = {k: 1 for k, v in family.params.items() if v is REQUIRED}
-            assert ModelSpec(kind, {**family.params, **required}).kind == kind
+            required = {k: v(1) for k, v in family.params.items() if isinstance(v, type)}
+            settings = ModelSpec(kind, required).settings()
+            assert ModelSpec(kind, settings).settings() == settings
+            names = [(k, name) for k, v in family.params.items() if isinstance(v, tuple)
+                     for name in v]
+            for key, name in names or [(None, None)]:
+                params = {**required, **({key: name} if key else {}), **extra.get(name, {})}
+                spec = ExperimentSpec(model=ModelSpec(kind, params), n_grid=(6,),
+                                      p_grid=(0.5,), seed=1)
+                failure = run_experiment(spec).cells[0].failure
+                assert failure is None, (kind, key, name, failure)
         assert MODEL_KINDS == tuple(FAMILIES)
 
     def test_from_dict_rejects_unknown_keys(self):
@@ -125,15 +140,31 @@ class TestRunExperiment:
         assert by_p[1.0] <= by_p[0.3]
 
     def test_failure_recorded_and_other_cells_complete(self):
-        spec = ExperimentSpec(model=ModelSpec("latent", {"f": "not-a-function"}),
-                              n_grid=(10,), p_grid=(1.0,), eta=0.01, trials=1, seed=2)
+        # Rank 12 cannot be realized at n = 10; it can at n = 20.
+        spec = ExperimentSpec(model=ModelSpec("lowrank", {"r": 12}),
+                              n_grid=(10, 20), p_grid=(1.0,), eta=0.01, trials=1, seed=2)
         report = run_experiment(spec)
-        assert report.cells[0].failure is not None
-        assert "not-a-function" in report.cells[0].failure
-        assert report.cells[0].mean_mse is None
+        failed, done = report.cells
+        assert failed.failure.startswith("ValidationError: ")
+        assert failed.mean_mse is None
+        assert done.failure is None and done.mean_mse is not None
         # report machinery still serializes
         payload = report_to_dict(report)
-        assert payload["cells"][0]["failure"] is not None
+        assert payload["cells"][0]["failure"] == failed.failure
+
+    def test_only_validation_and_numerical_errors_recorded(self, monkeypatch):
+        def raising(exc):
+            def estimate(data, config):
+                raise exc
+            return estimate
+
+        spec = ExperimentSpec(model=ModelSpec("zero"), n_grid=(8,), p_grid=(1.0,))
+        monkeypatch.setattr("usvt.harness.usvt_estimate",
+                            raising(np.linalg.LinAlgError("SVD did not converge")))
+        assert run_experiment(spec).cells[0].failure == "LinAlgError: SVD did not converge"
+        monkeypatch.setattr("usvt.harness.usvt_estimate", raising(RuntimeError("a bug")))
+        with pytest.raises(RuntimeError, match="a bug"):
+            run_experiment(spec)
 
     def test_trivial_baseline_present(self):
         spec = small_spec(baseline_trivial=True)

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import usvt
 
@@ -100,3 +102,19 @@ def test_options_pinned():
     assert pinned == set(OPTIONS)
     for name in OPTIONS:
         assert tuple(inspect.signature(public[name]).parameters) == OPTIONS[name], name
+
+
+def test_no_catch_all_handlers():
+    # A handler that catches every exception turns a bug into a silent
+    # result; src/usvt/ catches only the errors it means to handle.
+    broad = {"Exception", "BaseException"}
+    found = []
+    modules = sorted(Path(usvt.__file__).parent.glob("*.py"))
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler):
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                names = [getattr(t, "id", getattr(t, "attr", None)) for t in caught]
+                if any(t is None for t in caught) or broad & set(names):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert len(modules) == 11 and found == []
