@@ -126,6 +126,8 @@ def _realize_lowrank(prm, n, p, model_seed, data_seed):
 
 
 def _realize_blockmodel(prm, n, p, model_seed, data_seed):
+    if prm["k"] < 1:
+        raise ValidationError(f"blockmodel parameter 'k' must be positive, got {prm['k']}")
     probs = prm["block_probs"]
     if probs is None:
         probs = np.full((prm["k"], prm["k"]), prm["out_prob"])
@@ -135,6 +137,22 @@ def _realize_blockmodel(prm, n, p, model_seed, data_seed):
         return truth, adjacency
     mask = bernoulli_mask(n, n, p, SYM, data_seed) & ~np.eye(n, dtype=bool)
     return truth, _observed(adjacency, mask, SYM)
+
+
+def _distance_bracket(prm, n, p):
+    dim = prm["dim"]
+
+    def covering(d):
+        # Balls of radius d cover the unit cube [0, 1]^dim with ceil(1/d)^dim
+        # of them; the count must stay a finite float.
+        count = math.ceil(1.0 / d)
+        if dim * math.log2(count) > 1023:
+            raise ValidationError(
+                f"distance parameter 'dim' = {dim} is too large for n = {n}: the covering "
+                f"number {count}^{dim} exceeds the floating-point range")
+        return count ** dim
+
+    return distance_bracket(n, p, covering)
 
 
 def _realize_bradley_terry(prm, n, p, model_seed, data_seed):
@@ -165,7 +183,7 @@ FAMILIES = {
         {"dim": 1, "metric": ("euclidean", "manhattan", "chebyshev")}, SYM, (0.0, 1.0),
         _exact(lambda prm, n, p, seed: gen_distance_matrix(
             uniform_points(n, prm["dim"], seed), prm["metric"])),
-        lambda prm, n, p: distance_bracket(n, p, lambda d: math.ceil(1.0 / d) ** prm["dim"]),
+        _distance_bracket,
     ),
     "latent": Family(
         {"dim": 1, "f": tuple(LATENT_CATALOG)}, ASYM, None,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .rng import make_rng, mix_seed
 
 __all__ = [
     "SvdFactorization",
@@ -28,6 +29,23 @@ __all__ = [
 #: Relative cutoff (times the largest singular value) below which singular
 #: values count as zero; the double-precision noise floor at desk scale.
 DEFAULT_RANK_TOL = 1e-10
+
+#: Smallest ``min(m, n)`` at which :func:`thresholded_part` tries the partial
+#: path; below it the full decomposition costs about as much.
+_PARTIAL_MIN_DIM = 500
+#: Columns added to the Krylov basis per step; more than half of them at or
+#: above the cut saturates the block.
+_BLOCK = 10
+#: Krylov steps, so the basis has at most ``_BLOCK * (_STEPS + 1)`` columns.
+_STEPS = 20
+#: Blocks in the basis at the first Rayleigh-Ritz, which tests saturation.
+_FIRST_RITZ = 2
+#: Relative distance from the cut within which a Ritz value is a near-tie;
+#: the certificate also shrinks the cut by it, which covers rounding.
+_MARGIN = 1e-6
+#: Largest accepted residual of the kept Ritz pairs, as a fraction of the
+#: distance of the smallest kept Ritz value from the cut.
+_RESIDUAL = 1e-10
 
 
 def as_matrix(a) -> np.ndarray:
@@ -90,7 +108,39 @@ def thresholded_part(a, cut: float, symmetric: bool = False) -> tuple[np.ndarray
     symmetric float matrix: the part then comes from its eigendecomposition
     (singular values are |eigenvalues|), several times faster than
     :func:`svd` and structurally symmetric.
+
+    Two paths give the same ``k`` and the same part up to rounding:
+
+    - *Partial*, tried when ``min(a.shape) >= 500``. Block Krylov
+      iteration (on ``a a^T`` from ``a G`` with ``a`` oriented so that it
+      has no more rows than columns, or on ``a`` from ``G`` when symmetric)
+      builds an orthonormal basis of up to 210 columns, and Rayleigh-Ritz
+      on it gives the Ritz triplets whose values reach the cut. ``G`` is
+      Gaussian, drawn from ``make_rng(mix_seed(m, n))`` for the oriented
+      shape ``(m, n)``, so the same input always gives the same bytes.
+    - *Full*: :func:`svd`, or ``numpy.linalg.eigh`` when symmetric, below
+      that size and wherever the partial path cannot certify its result.
+
+    A partial result is returned only when it is certified. Its ``k`` Ritz
+    values reach the cut, and Ritz values are lower bounds (interlacing), so
+    ``s_k >= cut``. And ``||a - part|| < cut``, which bounds ``s_{k+1}``
+    for any rank-``k`` part, decided by a Cholesky factorization of
+    ``c^2 I - R R^T`` (of ``c I - R`` and ``c I + R`` when symmetric) for
+    ``R = a - part`` and the cut ``c`` shrunk by a relative margin of 1e-6.
+    The full path runs instead when more than 5 Ritz values reach the cut
+    (the block of 10 is saturated; tested on the first two blocks of the
+    basis and again on all of it), when a Ritz value lies within the margin
+    of the cut, when the largest residual ``||a v - s u||`` of the kept
+    Ritz pairs exceeds 1e-10 times the distance of the smallest kept value
+    from the cut, when the basis has lost orthonormality, or when a
+    Cholesky factorization fails. A near-tie therefore costs time and never
+    changes the answer.
     """
+    if np.ndim(a) == 2 and min(np.shape(a)) >= _PARTIAL_MIN_DIM:
+        found = _partial_part(np.asarray(a, dtype=float) if symmetric else as_matrix(a), cut,
+                              symmetric)
+        if found is not None:
+            return found
     if symmetric:
         lam, q = np.linalg.eigh(a)
         order = np.argsort(-np.abs(lam), kind="stable")
@@ -101,6 +151,92 @@ def thresholded_part(a, cut: float, symmetric: bool = False) -> tuple[np.ndarray
     s = fact.singular_values
     keep = s >= cut
     return (fact.left_vectors[:, keep] * s[keep]) @ fact.right_vectors[:, keep].T, int(keep.sum())
+
+
+def _partial_part(a: np.ndarray, cut: float, symmetric: bool):
+    """The partial path of :func:`thresholded_part`: its certified
+    ``(part, k)``, or ``None`` where the full path must run."""
+    if not symmetric and a.shape[0] > a.shape[1]:
+        found = _partial_part(a.T, cut, False)
+        return None if found is None else (found[0].T, found[1])
+    m, n = a.shape
+    width = _BLOCK * (_STEPS + 1)
+    q = np.empty((m, width), order="F")
+    # a q when symmetric, else a^T q: the columns Rayleigh-Ritz needs.
+    w = np.empty((n, width), order="F")
+    start = make_rng(mix_seed(m, n)).standard_normal((n, _BLOCK))
+    q[:, :_BLOCK] = np.linalg.qr(start if symmetric else a @ start)[0]
+    for step in range(1, _STEPS + 2):
+        size = step * _BLOCK
+        new = slice(size - _BLOCK, size)
+        w[:, new] = (a if symmetric else a.T) @ q[:, new]
+        if step == _FIRST_RITZ:
+            values = _ritz(q[:, :size], w[:, :size], symmetric)[0]
+            if (np.abs(values) >= cut).sum() > _BLOCK // 2:
+                return None
+        if step > _STEPS:
+            break
+        y = w[:, new] if symmetric else a @ w[:, new]
+        # Twice is enough: the second pass restores orthogonality that the
+        # first loses to cancellation; QR after each keeps the block unit.
+        for _ in range(2):
+            y = np.linalg.qr(y - q[:, :size] @ (q[:, :size].T @ y))[0]
+        q[:, size:size + _BLOCK] = y
+    if width * np.abs(q.T @ q - np.eye(width)).max() >= _MARGIN:
+        return None
+    values, left, right = _ritz(q, w, symmetric)
+    keep = np.abs(values) >= cut
+    k = int(keep.sum())
+    if k > _BLOCK // 2 or not (np.abs(np.abs(values) - cut) > _MARGIN * cut).all():
+        return None
+    lam = values[keep]
+    u = q @ left[:, keep]
+    if symmetric:
+        v = u
+        residual = w @ left[:, keep] - u * lam
+    else:
+        v = right[:, keep]
+        residual = a @ v - u * lam
+    if k and not (np.linalg.norm(residual, axis=0).max()
+                  <= _RESIDUAL * (np.abs(lam).min() - cut)):
+        return None
+    part = (u * lam) @ v.T
+    if not _norm_below(a - part, cut * (1.0 - _MARGIN), symmetric):
+        return None
+    return part, k
+
+
+def _ritz(q: np.ndarray, w: np.ndarray, symmetric: bool):
+    """Rayleigh-Ritz on the orthonormal basis ``q`` with ``w = a q``
+    (symmetric) or ``w = a^T q``: Ritz values, their vectors in ``q``'s
+    coordinates and, for ``a^T q``, the right Ritz vectors."""
+    if symmetric:
+        h = q.T @ w
+        values, vectors = np.linalg.eigh((h + h.T) / 2.0)
+        return values, vectors, None
+    right, values, left_t = np.linalg.svd(w, full_matrices=False)
+    return values, left_t.T, right
+
+
+def _norm_below(r: np.ndarray, c: float, symmetric: bool) -> bool:
+    """Whether ``||r|| < c``, decided by Cholesky factorizations: of
+    ``c^2 I - r r^T`` (``r`` has no more rows than columns), or of
+    ``c I - r`` and then ``c I + r`` for a symmetric ``r``, built in place
+    of ``r``."""
+    if symmetric:
+        shifts = (c, 2.0 * c)
+    else:
+        r = r @ r.T
+        shifts = (c * c,)
+    diagonal = np.diag_indices_from(r)
+    try:
+        for shift in shifts:
+            np.negative(r, out=r)
+            r[diagonal] += shift
+            np.linalg.cholesky(r)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _singular_values(a) -> np.ndarray:

@@ -372,6 +372,59 @@ class TestSpectralCut:
         assert usvt_estimate(data, above).retained_rank == 0
 
 
+def paper_oracle(data):
+    """The paper's pipeline on a full ``numpy.linalg.svd`` (``eigh`` when
+    symmetric), for the default interval: zero-fill, keep the spectrum at
+    or above ``2.01 * sqrt(n * p_hat)`` with ``n`` the larger dimension,
+    rescale by ``1 / p_hat``, clip. Returns ``(estimate, retained rank)``."""
+    y = np.where(data.mask, data.values, 0.0)
+    if data.mode is SYM:
+        p_hat = data.mask[np.triu_indices(y.shape[0])].mean()
+        cut = 2.01 * np.sqrt(y.shape[0] * p_hat)
+        lam, q = np.linalg.eigh(y)
+        keep = np.abs(lam) >= cut
+        part = (q[:, keep] * lam[keep]) @ q[:, keep].T
+    else:
+        p_hat = data.mask.mean()
+        cut = 2.01 * np.sqrt(max(y.shape) * p_hat)
+        u, s, vt = np.linalg.svd(y, full_matrices=False)
+        keep = s >= cut
+        part = (u[:, keep] * s[keep]) @ vt[keep]
+    return np.clip(part / p_hat, -1.0, 1.0), int(keep.sum())
+
+
+@pytest.mark.parametrize("mode, shape", [
+    (ASYM, (500, 520)), (SYM, (500, 500)), (ASYM, (540, 500)),
+], ids=["asym", "sym", "tall"])
+def test_large_estimate_matches_full_decomposition_oracle(mode, shape, monkeypatch):
+    # At n >= 500 the spectral cut takes its partial path; with the full
+    # decompositions made to raise, it must still reproduce the oracle.
+    rng = make_rng(43)
+    u = rng.uniform(-1, 1, (shape[0], 3))
+    v = u if mode is SYM else rng.uniform(-1, 1, (shape[1], 3))
+    noise = rng.uniform(-0.5, 0.5, shape)
+    mask = rng.random(shape) < 0.6
+    if mode is SYM:
+        noise, mask = (noise + noise.T) / 2.0, np.triu(mask) | np.triu(mask).T
+    values = np.clip(u @ v.T / 2.0 + noise, -1.0, 1.0)
+    data = MaskedMatrix(np.where(mask, values, 0.0), mask, mode)
+    expected, expected_rank = paper_oracle(data)
+    full_eigh = np.linalg.eigh
+
+    def no_svd(a):
+        raise AssertionError("full SVD of the input")
+
+    def small_eigh(a, *args, **kwargs):
+        assert min(np.shape(a)) < 500, "full eigh of the input"
+        return full_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr("usvt.linalg.svd", no_svd)
+    monkeypatch.setattr(np.linalg, "eigh", small_eigh)
+    rep = usvt_estimate(data, EstimatorConfig(eta=0.01, mode=mode))
+    assert rep.retained_rank == expected_rank == 3
+    assert np.abs(rep.estimate - expected).max() <= 1e-10
+
+
 def pinned_input(mode):
     rng = make_rng(31)
     m, n = (60, 45) if mode is ASYM else (50, 50)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import usvt.linalg as linalg_module
 from usvt.errors import ValidationError
 from usvt.linalg import (
     as_matrix,
@@ -224,3 +225,107 @@ def test_thresholded_part_keeps_a_singular_value_equal_to_the_cut(symmetric):
     part, k = thresholded_part(a, np.nextafter(1.0, np.inf), symmetric=symmetric)
     assert k == 1
     assert np.abs(part - np.diag([3.0, 0.0, 0.0])).max() <= 1e-12
+
+
+#: Shapes at the size where ``thresholded_part`` starts trying its partial path.
+LARGE = {"tall": (540, 500), "wide": (500, 540), "square": (500, 500), "symmetric": (500, 500)}
+
+
+@settings(max_examples=3, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    shape=st.sampled_from(list(LARGE)),
+    position=st.integers(min_value=0, max_value=7),
+)
+def test_thresholded_part_matches_svd_oracle_above_cutoff(seed, shape, position):
+    rng = make_rng(seed)
+    m, n = LARGE[shape]
+    r = int(rng.integers(1, 7))
+    a = rng.uniform(-1, 1, (m, r)) @ rng.uniform(-1, 1, (r, n)) + 0.1 * rng.uniform(-1, 1, (m, n))
+    if shape == "symmetric":
+        a = (a + a.T) / 2.0
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    # As in the oracle test above; a position past the rank puts the cut
+    # inside the noise bulk, where the partial path falls back.
+    upper = s[position - 1] if position else 2.0 * s[0] + 1.0
+    assume(upper - s[position] >= 1e-3)
+    cut = (upper + s[position]) / 2.0
+    part, k = thresholded_part(a, cut, symmetric=shape == "symmetric")
+    assert k == position
+    assert np.abs(part - (u[:, :k] * s[:k]) @ vt[:k]).max() <= 1e-10
+
+
+def spectrum_input(shape, leading, bulk, seed):
+    """``(a, part)``: a matrix of ``LARGE[shape]`` whose singular values are
+    ``leading`` followed by a bulk spread evenly over [0, ``bulk``]
+    (eigenvalues of alternating sign when symmetric), and the part of it
+    that ``leading`` makes up."""
+    rng = make_rng(seed)
+    m, n = LARGE[shape]
+    k, size = len(leading), min(m, n)
+    values = np.concatenate([leading, np.linspace(bulk, 0.0, size - k)])
+    u = np.linalg.qr(rng.standard_normal((m, size)))[0]
+    if shape == "symmetric":
+        v = u
+        values = values * (-1.0) ** np.arange(size)
+    else:
+        v = np.linalg.qr(rng.standard_normal((n, size)))[0]
+    a = (u * values) @ v.T
+    part = (u[:, :k] * values[:k]) @ v[:, :k].T
+    return ((a + a.T) / 2.0 if shape == "symmetric" else a), part
+
+
+@pytest.fixture
+def full_decompositions(monkeypatch):
+    """The full decompositions ``thresholded_part`` runs, as a list of
+    names: ``usvt.linalg.svd`` calls and ``eigh`` calls on a matrix of 500
+    rows or more (the partial path's own ``eigh`` is of a small matrix)."""
+    calls = []
+    full_svd, full_eigh = linalg_module.svd, np.linalg.eigh
+
+    def svd_spy(a):
+        calls.append("svd")
+        return full_svd(a)
+
+    def eigh_spy(a, *args, **kwargs):
+        if np.shape(a)[0] >= 500:
+            calls.append("eigh")
+        return full_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg_module, "svd", svd_spy)
+    monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+    return calls
+
+
+#: Leading singular values and the top of the bulk, for a cut of 5: a
+#: clear gap; a value within 1e-9 of the cut; 40 values above the cut, more
+#: than the partial path's block can hold; a gap too narrow for 20 Krylov
+#: steps to resolve.
+SPECTRA = {
+    "gap": ([30.0, 20.0, 10.0], 0.9),
+    "near-tie": ([30.0, 20.0, 5.0 + 5e-10], 0.9),
+    "saturated": (np.linspace(30.0, 6.0, 40), 0.9),
+    "slow": ([5.3, 5.2, 5.1], 4.9),
+}
+
+
+@pytest.mark.parametrize("case, shape", [
+    *[("gap", shape) for shape in LARGE],
+    ("near-tie", "tall"), ("near-tie", "symmetric"),
+    ("saturated", "wide"), ("saturated", "symmetric"),
+    ("slow", "square"), ("slow", "symmetric"),
+    ("certificate fails", "square"), ("certificate fails", "symmetric"),
+])
+def test_thresholded_part_partial_path_or_full(case, shape, monkeypatch, full_decompositions):
+    leading, bulk = SPECTRA.get(case, SPECTRA["gap"])
+    a, expected = spectrum_input(shape, leading, bulk, seed=11)
+    if case == "certificate fails":
+        def cholesky_fails(x):
+            raise np.linalg.LinAlgError("injected")
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky_fails)
+    part, k = thresholded_part(a, 5.0, symmetric=shape == "symmetric")
+    assert k == len(leading)
+    assert np.abs(part - expected).max() <= 1e-10
+    assert np.array_equal(thresholded_part(a, 5.0, symmetric=shape == "symmetric")[0], part)
+    # Only a clear gap with a working certificate skips the full path.
+    assert len(full_decompositions) == (0 if case == "gap" else 2)

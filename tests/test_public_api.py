@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import inspect
+import sys
 from pathlib import Path
 
 import usvt
@@ -117,4 +118,24 @@ def test_no_catch_all_handlers():
                 names = [getattr(t, "id", getattr(t, "attr", None)) for t in caught]
                 if any(t is None for t in caught) or broad & set(names):
                     found.append(f"{path.name}:{node.lineno}")
+    assert len(modules) == 11 and found == []
+
+
+def test_imports_are_stdlib_numpy_or_usvt():
+    # pyproject.toml declares numpy as the only dependency, so any other
+    # import (scipy, say) would work where it happens to be installed and
+    # fail where it is not.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "usvt"}
+    found = []
+    modules = sorted(Path(usvt.__file__).parent.glob("*.py"))
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in allowed]
     assert len(modules) == 11 and found == []
