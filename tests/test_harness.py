@@ -139,25 +139,26 @@ class TestRunExperiment:
         by_p = {c.p: c.mean_mse for c in report.cells}
         assert by_p[1.0] <= by_p[0.3]
 
-    @pytest.mark.parametrize("model, n_grid, named", [
-        # Rank 12 cannot be realized at n = 10; it can at n = 20.
-        (ModelSpec("lowrank", {"r": 12}), (10, 20), "r=12"),
-        (ModelSpec("blockmodel", {"k": -1}), (10,), "'k'"),
-        # The covering number of [0, 1]^300 at n = 4 is 16^300, beyond the
-        # float range; at n = 2 it is 8^300, within it.
-        (ModelSpec("distance", {"dim": 300}), (4, 2), "'dim'"),
-    ], ids=["lowrank", "blockmodel", "distance"])
-    def test_failure_recorded_and_other_cells_complete(self, model, n_grid, named):
-        spec = ExperimentSpec(model=model, n_grid=n_grid, p_grid=(1.0,), eta=0.01, trials=1,
-                              seed=2)
-        report = run_experiment(spec)
-        failed, *done = report.cells
-        assert failed.failure.startswith("ValidationError: ") and named in failed.failure
-        assert failed.mean_mse is None
-        assert all(c.failure is None and c.mean_mse is not None for c in done)
-        # report machinery still serializes
-        payload = report_to_dict(report)
-        assert payload["cells"][0]["failure"] == failed.failure
+    def test_failure_recorded_and_other_cells_complete(self):
+        cases = [
+            # Rank 12 cannot be realized at n = 10; it can at n = 20.
+            (ModelSpec("lowrank", {"r": 12}), (10, 20), "r=12"),
+            (ModelSpec("blockmodel", {"k": -1}), (10,), "'k'"),
+            # The covering number of [0, 1]^300 at n = 4 is 16^300, beyond
+            # the float range; at n = 2 it is 8^300, within it.
+            (ModelSpec("distance", {"dim": 300}), (4, 2), "'dim'"),
+        ]
+        for model, n_grid, named in cases:
+            spec = ExperimentSpec(model=model, n_grid=n_grid, p_grid=(1.0,), eta=0.01,
+                                  trials=1, seed=2)
+            report = run_experiment(spec)
+            failed, *done = report.cells
+            assert failed.failure.startswith("ValidationError: "), model
+            assert named in failed.failure and failed.mean_mse is None, model
+            assert all(c.failure is None and c.mean_mse is not None for c in done), model
+            # report machinery still serializes
+            payload = report_to_dict(report)
+            assert payload["cells"][0]["failure"] == failed.failure
 
     def test_only_validation_and_numerical_errors_recorded(self, monkeypatch):
         def raising(exc):
