@@ -17,6 +17,7 @@ from .errors import ValidationError
 from .estimator import denoise_by_threshold, denoise_error_constant
 from .evaluation import spectral_concentration_trial
 from .generators import (
+    DISTANCE_METRICS,
     gen_blockmodel,
     gen_bradley_terry,
     gen_correlation_matrix,
@@ -182,7 +183,7 @@ def check_generator_certificates(seed: int = DEFAULT_SEED) -> CheckResult:
         ok = ok and np.allclose(np.diagonal(corr), 1.0, rtol=0.0, atol=0.0)
 
         dim = int(rng.integers(1, 4))
-        metric = ("euclidean", "manhattan", "chebyshev")[i % 3]
+        metric = tuple(DISTANCE_METRICS)[i % len(DISTANCE_METRICS)]
         dist = gen_distance_matrix(uniform_points(16, dim, mix_seed(seed, 7, i)), metric)
         ok = ok and _triangle_ok(dist)
         ok = ok and np.abs(np.diagonal(dist)).max() == 0.0

@@ -142,10 +142,9 @@ class EstimateReport:
     """Estimate plus diagnostics.
 
     ``retained_rank`` counts the leading singular values at or above the
-    threshold; ``threshold`` refers to the interval-normalized scale and,
-    for inputs with more rows than columns, to the transposed (rows <=
-    cols) orientation. ``no_data`` flags the degenerate p_hat = 0
-    case where the estimate is the interval midpoint.
+    threshold; ``threshold`` refers to the interval-normalized scale.
+    ``no_data`` flags the degenerate p_hat = 0 case where the estimate is
+    the interval midpoint.
     """
 
     estimate: np.ndarray
@@ -220,12 +219,11 @@ def usvt_estimate(data: MaskedMatrix, config: EstimatorConfig) -> EstimateReport
     """Estimate the mean matrix of partially observed bounded data.
 
     Pipeline: map values affinely from the declared interval onto [-1, 1];
-    zero-fill unobserved entries; work on the transpose if rows > cols;
-    keep the part of the spectrum at or above ``threshold_value`` with
-    n = number of columns (:func:`usvt.linalg.thresholded_part`, through
-    the eigendecomposition in ``SYMMETRIC`` mode); rescale that part by
-    ``1 / p_hat``; clip to [-1, 1]; map back and clamp exactly to the
-    interval.
+    zero-fill unobserved entries; keep the part of the spectrum at or
+    above ``threshold_value`` with n = the larger dimension
+    (:func:`usvt.linalg.thresholded_part`, through the eigendecomposition
+    in ``SYMMETRIC`` mode); rescale that part by ``1 / p_hat``; clip to
+    [-1, 1]; map back and clamp exactly to the interval.
 
     With no observations at all (p_hat = 0) the midpoint matrix is
     returned with an empty retained set, threshold 0 and ``no_data`` set:
@@ -247,17 +245,11 @@ def usvt_estimate(data: MaskedMatrix, config: EstimatorConfig) -> EstimateReport
             no_data=True,
         )
 
-    transposed = y.shape[0] > y.shape[1]
-    if transposed:
-        y = y.T
-    thr = threshold_value(y.shape[1], p_hat, config.eta, config.sigma_sq)
+    thr = threshold_value(max(y.shape), p_hat, config.eta, config.sigma_sq)
     q_hat = None if config.sigma_sq is None else _variance_rate(p_hat, config.sigma_sq)
     part, k = thresholded_part(y, thr, symmetric=data.mode is SymmetryMode.SYMMETRIC)
-    estimate = _restore(part, p_hat, lo, hi)
-    if transposed:
-        estimate = estimate.T
     return EstimateReport(
-        estimate=estimate,
+        estimate=_restore(part, p_hat, lo, hi),
         p_hat=p_hat,
         q_hat=q_hat,
         threshold=thr,

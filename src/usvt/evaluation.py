@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .generators import sample_upper
+from .generators import _named, sample_upper
 from .linalg import as_matrix, nuclear_norm
 from .rng import make_rng, mix_seed
 
@@ -65,20 +65,27 @@ def nuclear_bracket(m_matrix, p: float) -> float:
     return min(nn / (m_side * math.sqrt(n_side * p)), nn * nn / (m_side * n_side), 1.0)
 
 
-def distance_bracket(n: int, p: float, covering) -> float:
+def distance_bracket(n: int, p: float, dim: int) -> float:
     """Bracket ``inf_delta min((delta + sqrt(N(delta/4) / n)) / sqrt(p), 1)``
-    for matrices of pairwise values over a space coverable by ``N(delta)``
-    balls of radius delta.
+    for matrices of pairwise values over the unit cube [0, 1]^dim, which
+    ``N(d) = ceil(1/d)^dim`` balls of radius d cover.
 
     The infimum is taken over 50 log-spaced deltas in [1/n, 1], which
     covers the optimal ``delta ~ n^{-1/3}`` regime of one-dimensional
-    spaces with margin. ``covering`` must be nonincreasing.
+    spaces with margin. A covering number beyond the floating-point range
+    is a :class:`ValidationError`.
     """
     _check_size_and_rate(n, p)
+    if dim < 1:
+        raise ValidationError("dim must be positive")
     deltas = np.logspace(-math.log10(n), 0.0, 50)
-    counts = np.array([float(covering(d / 4.0)) for d in deltas])
-    if (np.diff(counts) > 0).any():
-        raise ValidationError("covering must be monotone nonincreasing")
+    # The smallest delta needs the most balls.
+    count = math.ceil(1.0 / (deltas[0] / 4.0))
+    if dim * math.log2(count) > 1023:
+        raise ValidationError(
+            f"distance parameter 'dim' = {dim} is too large for n = {n}: the covering "
+            f"number {count}^{dim} exceeds the floating-point range")
+    counts = np.array([float(math.ceil(1.0 / (d / 4.0)) ** dim) for d in deltas])
     vals = np.minimum((deltas + np.sqrt(counts / n)) / math.sqrt(p), 1.0)
     return float(vals.min())
 
@@ -140,10 +147,7 @@ def spectral_concentration_trial(n: int, dist: str, eta: float, trials: int, see
     """
     if n < 1 or trials < 1:
         raise ValidationError("n and trials must be positive")
-    if not isinstance(dist, str) or dist not in ENTRY_DISTRIBUTIONS:
-        raise ValidationError(
-            f"unknown entry distribution {dist!r}; choose from {sorted(ENTRY_DISTRIBUTIONS)}")
-    sampler, sigma_sq = ENTRY_DISTRIBUTIONS[dist]
+    sampler, sigma_sq = _named(ENTRY_DISTRIBUTIONS, dist, "entry distribution")
     if sigma_sq < n ** (-0.9):
         raise ValidationError(f"variance bound {sigma_sq} below n^-0.9; out of regime")
     bound = (2.0 + eta) * math.sqrt(sigma_sq) * math.sqrt(n)

@@ -24,6 +24,7 @@ from .rng import make_rng
 
 __all__ = [
     "TournamentModel",
+    "DISTANCE_METRICS",
     "GRAPHON_CATALOG",
     "LATENT_CATALOG",
     "gen_low_rank",
@@ -56,6 +57,23 @@ LATENT_CATALOG = {
     "one_minus_l1": lambda x, y: 1.0 - np.mean(np.abs(x - y), axis=-1),
     "cosine": lambda x, y: np.cos(np.pi * (np.mean(x, axis=-1) - np.mean(y, axis=-1))),
 }
+
+#: Named metrics on points, as ufuncs ``(combine, transform, finish)``: the
+#: distance is ``finish`` of the ``combine``-reduction of ``transform`` of
+#: the coordinate differences.
+DISTANCE_METRICS = {
+    "euclidean": (np.add, np.square, np.sqrt),
+    "manhattan": (np.add, np.abs, np.positive),
+    "chebyshev": (np.maximum, np.abs, np.positive),
+}
+
+
+def _named(table: dict, name, what: str):
+    """``table[name]``, or a :class:`ValidationError` that lists the names
+    in ``table`` when ``name`` is not one of them."""
+    if not isinstance(name, str) or name not in table:
+        raise ValidationError(f"unknown {what} {name!r}; choose from {sorted(table)}")
+    return table[name]
 
 
 @dataclass(frozen=True)
@@ -158,8 +176,8 @@ def gen_distance_matrix(points, metric: str = "euclidean") -> np.ndarray:
     """Pairwise distances normalized by the realized diameter.
 
     The max entry is exactly 1 (all-zero if every point coincides), the
-    diagonal is zero and the triangle inequality is preserved. Metrics:
-    euclidean, manhattan, chebyshev.
+    diagonal is zero and the triangle inequality is preserved. ``metric``
+    names one of :data:`DISTANCE_METRICS`.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -168,23 +186,12 @@ def gen_distance_matrix(points, metric: str = "euclidean") -> np.ndarray:
         raise ValidationError("points must be a nonempty list of equal-length vectors")
     if not np.isfinite(pts).all():
         raise ValidationError("points must be finite")
+    combine, transform, finish = _named(DISTANCE_METRICS, metric, "metric")
     n, dim = pts.shape
-    acc = np.zeros((n, n))
-    if metric == "euclidean":
-        for d in range(dim):
-            diff = pts[:, d, None] - pts[None, :, d]
-            acc += diff * diff
-        dist = np.sqrt(acc)
-    elif metric == "manhattan":
-        for d in range(dim):
-            acc += np.abs(pts[:, d, None] - pts[None, :, d])
-        dist = acc
-    elif metric == "chebyshev":
-        for d in range(dim):
-            acc = np.maximum(acc, np.abs(pts[:, d, None] - pts[None, :, d]))
-        dist = acc
-    else:
-        raise ValidationError(f"unknown metric {metric!r}")
+    dist = np.zeros((n, n))
+    for d in range(dim):
+        combine(dist, transform(pts[:, d, None] - pts[None, :, d]), out=dist)
+    finish(dist, out=dist)
     np.fill_diagonal(dist, 0.0)
     dist = np.maximum(dist, dist.T)
     diameter = dist.max()
@@ -200,33 +207,18 @@ def uniform_points(n: int, dim: int, seed: int) -> np.ndarray:
     return make_rng(seed).random((n, dim))
 
 
-def _pairwise_eval(f, x_left, x_right):
-    """``out[i, j] = f(x_left[i], x_right[j])`` from one broadcast call of
-    ``f``; a constant result is broadcast to (n, n)."""
-    n = x_left.shape[0]
-    out = np.asarray(f(x_left[:, None], x_right[None, :]), dtype=float)
-    if out.ndim == 0:
-        return np.full((n, n), out)
-    if out.shape != (n, n):
-        raise ValidationError(f"pairwise function gave shape {out.shape}, not {(n, n)}")
-    return out
-
-
-def gen_latent_space(n: int, dim: int, f, seed: int) -> np.ndarray:
+def gen_latent_space(n: int, dim: int, f: str, seed: int) -> np.ndarray:
     """Latent-position mean matrix ``m_ij = f(beta_i, beta_j)``.
 
-    Positions ``beta_i`` are uniform on [0, 1]^dim; ``f`` must map into
-    [-1, 1] (rejection error otherwise) but need not be symmetric.
-    Returns m.
+    Positions ``beta_i`` are uniform on [0, 1]^dim; ``f`` names one of the
+    functions of :data:`LATENT_CATALOG`, which map into [-1, 1] and need
+    not be symmetric. Returns m.
     """
-    if dim < 1:
-        raise ValidationError("dim must be >= 1")
-    rng = make_rng(seed)
-    betas = rng.random((n, dim))
-    m = _pairwise_eval(f, betas, betas)
-    if not np.isfinite(m).all() or np.abs(m).max() > 1.0:
-        raise ValidationError("latent function values must lie in [-1, 1]")
-    return m
+    func = _named(LATENT_CATALOG, f, "latent function")
+    if n < 1 or dim < 1:
+        raise ValidationError("n and dim must be positive")
+    betas = make_rng(seed).random((n, dim))
+    return func(betas[:, None], betas[None, :])
 
 
 def gen_correlation_matrix(n: int, seed: int) -> np.ndarray:
@@ -243,23 +235,23 @@ def gen_correlation_matrix(n: int, seed: int) -> np.ndarray:
     return m
 
 
-def gen_graphon(n: int, f, seed: int):
-    """Sample a random graph from a symmetric function [0,1]^2 -> [0,1].
+def gen_graphon(n: int, f: str, seed: int):
+    """Sample a random graph from a symmetric function [0,1]^2 -> [0,1],
+    the one that ``f`` names in :data:`GRAPHON_CATALOG`.
 
     Draws latent uniforms ``u``, evaluates ``m_ij = f(u_i, u_j)`` (upper
     triangle, mirrored, so the result is exactly symmetric) and flips one
-    coin per pair on and above the diagonal. Out-of-range values are a
-    rejection error. Returns ``(m, adjacency)``: the mean matrix and a
-    symmetric 0/1 matrix with ``E[adjacency | u] = m``, self-pairs included.
+    coin per pair on and above the diagonal. Returns ``(m, adjacency)``:
+    the mean matrix and a symmetric 0/1 matrix with
+    ``E[adjacency | u] = m``, self-pairs included.
     """
+    func = _named(GRAPHON_CATALOG, f, "graphon")
     if n < 1:
         raise ValidationError("n must be positive")
     rng = make_rng(seed)
     u = rng.random(n)
-    full = _pairwise_eval(f, u, u)
+    full = func(u[:, None], u[None, :])
     m = sample_upper(n, lambda i, j: full[i, j])
-    if not np.isfinite(m).all() or m.min() < 0.0 or m.max() > 1.0:
-        raise ValidationError("graphon values must lie in [0, 1]")
     return m, sample_upper(n, lambda i, j: rng.random(i.size) < m[i, j])
 
 

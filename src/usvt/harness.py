@@ -46,6 +46,7 @@ from .evaluation import (
     rate_fit,
 )
 from .generators import (
+    DISTANCE_METRICS,
     GRAPHON_CATALOG,
     LATENT_CATALOG,
     bernoulli_mask,
@@ -139,22 +140,6 @@ def _realize_blockmodel(prm, n, p, model_seed, data_seed):
     return truth, _observed(adjacency, mask, SYM)
 
 
-def _distance_bracket(prm, n, p):
-    dim = prm["dim"]
-
-    def covering(d):
-        # Balls of radius d cover the unit cube [0, 1]^dim with ceil(1/d)^dim
-        # of them; the count must stay a finite float.
-        count = math.ceil(1.0 / d)
-        if dim * math.log2(count) > 1023:
-            raise ValidationError(
-                f"distance parameter 'dim' = {dim} is too large for n = {n}: the covering "
-                f"number {count}^{dim} exceeds the floating-point range")
-        return count ** dim
-
-    return distance_bracket(n, p, covering)
-
-
 def _realize_bradley_terry(prm, n, p, model_seed, data_seed):
     # Pairs play with probability p: the tournament draw is the mask.
     tm = gen_bradley_terry(n, model_seed, prm["family"], prm["strengths"])
@@ -180,15 +165,14 @@ FAMILIES = {
         lambda prm, n, p: min(math.sqrt(prm["k"] / (n * p)), 1.0),
     ),
     "distance": Family(
-        {"dim": 1, "metric": ("euclidean", "manhattan", "chebyshev")}, SYM, (0.0, 1.0),
+        {"dim": 1, "metric": tuple(DISTANCE_METRICS)}, SYM, (0.0, 1.0),
         _exact(lambda prm, n, p, seed: gen_distance_matrix(
             uniform_points(n, prm["dim"], seed), prm["metric"])),
-        _distance_bracket,
+        lambda prm, n, p: distance_bracket(n, p, prm["dim"]),
     ),
     "latent": Family(
         {"dim": 1, "f": tuple(LATENT_CATALOG)}, ASYM, None,
-        _exact(lambda prm, n, p, seed: gen_latent_space(
-            n, prm["dim"], LATENT_CATALOG[prm["f"]], seed)),
+        _exact(lambda prm, n, p, seed: gen_latent_space(n, prm["dim"], prm["f"], seed)),
         lambda prm, n, p: lipschitz_latent_bracket(n, p, prm["dim"]),
     ),
     "correlation": Family(
@@ -197,8 +181,7 @@ FAMILIES = {
     ),
     "graphon": Family(
         {"f": tuple(GRAPHON_CATALOG)}, SYM, (0.0, 1.0),
-        lambda prm, n, p, model_seed, data_seed: gen_graphon(
-            n, GRAPHON_CATALOG[prm["f"]], model_seed),
+        lambda prm, n, p, model_seed, data_seed: gen_graphon(n, prm["f"], model_seed),
     ),
     "bradley_terry": Family(
         {"family": ("nonparametric_monotone", "parametric"), "strengths": None,

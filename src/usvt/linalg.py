@@ -40,8 +40,17 @@ _BLOCK = 10
 _STEPS = 20
 #: Blocks in the basis at the first Rayleigh-Ritz, which tests saturation.
 _FIRST_RITZ = 2
-#: Relative distance from the cut within which a Ritz value is a near-tie;
-#: the certificate also shrinks the cut by it, which covers rounding.
+#: Relative distance from the cut within which a Ritz value is a near-tie.
+#: The certificate also shrinks the cut ``c`` by it, to cover rounding. A
+#: Cholesky factorization of an n x n matrix that completes in floating
+#: point proves it definite up to a shift of about (n+1) u tr (Rump, BIT 46,
+#: 2006; u = 2^-53). For ``c I - R`` and ``c I + R`` (traces at most 2 n c)
+#: that is 2 n^2 u c, about 1e-9 c at n = 2200; for ``c^2 I - R R^T`` with
+#: m <= n rows it is m^2 u c^2. Forming ``R R^T`` errs by at most
+#: n m u ||R||^2 in norm, which moves ||R|| by n m u / 2 relative; forming
+#: ``R`` and the rank-k part moves it by a few u times ||R|| and s_1, about
+#: 1e-9 c at most while s_1 / c < 1e6. The margin covers the sum for n up
+#: to about 67,000 (symmetric) and 95,000 (general, square).
 _MARGIN = 1e-6
 #: Largest accepted residual of the kept Ritz pairs, as a fraction of the
 #: distance of the smallest kept Ritz value from the cut.
@@ -104,20 +113,22 @@ def thresholded_part(a, cut: float, symmetric: bool = False) -> tuple[np.ndarray
     values ``s_i >= cut``, always the leading ``k``. For a strict cut
     ``s_i > c`` pass ``numpy.nextafter(c, inf)``.
 
-    ``symmetric`` asserts, unchecked, that ``a`` is a finite, exactly
-    symmetric float matrix: the part then comes from its eigendecomposition
-    (singular values are |eigenvalues|), several times faster than
-    :func:`svd` and structurally symmetric.
+    ``a`` is checked as by :func:`as_matrix`, finite entries included.
+    ``symmetric`` asserts, unchecked, that ``a`` is exactly symmetric: the
+    part then comes from its eigendecomposition (singular values are
+    |eigenvalues|), several times faster than :func:`svd` and structurally
+    symmetric. An ``a`` with more rows than columns is cut as its
+    transpose and the part transposed back, so either path below sees
+    ``m <= n`` rows and columns.
 
     Two paths give the same ``k`` and the same part up to rounding:
 
     - *Partial*, tried when ``min(a.shape) >= 500``. Block Krylov
-      iteration (on ``a a^T`` from ``a G`` with ``a`` oriented so that it
-      has no more rows than columns, or on ``a`` from ``G`` when symmetric)
-      builds an orthonormal basis of up to 210 columns, and Rayleigh-Ritz
-      on it gives the Ritz triplets whose values reach the cut. ``G`` is
-      Gaussian, drawn from ``make_rng(mix_seed(m, n))`` for the oriented
-      shape ``(m, n)``, so the same input always gives the same bytes.
+      iteration (on ``a a^T`` from ``a G``, or on ``a`` from ``G`` when
+      symmetric) builds an orthonormal basis of up to 210 columns, and
+      Rayleigh-Ritz on it gives the Ritz triplets whose values reach the
+      cut. ``G`` is Gaussian, drawn from ``make_rng(mix_seed(m, n))``, so
+      the same input always gives the same bytes.
     - *Full*: :func:`svd`, or ``numpy.linalg.eigh`` when symmetric, below
       that size and wherever the partial path cannot certify its result.
 
@@ -136,29 +147,32 @@ def thresholded_part(a, cut: float, symmetric: bool = False) -> tuple[np.ndarray
     Cholesky factorization fails. A near-tie therefore costs time and never
     changes the answer.
     """
-    if np.ndim(a) == 2 and min(np.shape(a)) >= _PARTIAL_MIN_DIM:
-        found = _partial_part(np.asarray(a, dtype=float) if symmetric else as_matrix(a), cut,
-                              symmetric)
-        if found is not None:
-            return found
-    if symmetric:
+    a = as_matrix(a)
+    tall = a.shape[0] > a.shape[1]
+    if tall:
+        a = a.T
+    found = _partial_part(a, cut, symmetric) if a.shape[0] >= _PARTIAL_MIN_DIM else None
+    if found is not None:
+        part, k = found
+    elif symmetric:
         lam, q = np.linalg.eigh(a)
         order = np.argsort(-np.abs(lam), kind="stable")
         k = int((np.abs(lam)[order] >= cut).sum())
         cols = order[:k]
-        return (q[:, cols] * lam[cols]) @ q[:, cols].T, k
-    fact = svd(a)
-    s = fact.singular_values
-    keep = s >= cut
-    return (fact.left_vectors[:, keep] * s[keep]) @ fact.right_vectors[:, keep].T, int(keep.sum())
+        part = (q[:, cols] * lam[cols]) @ q[:, cols].T
+    else:
+        fact = svd(a)
+        s = fact.singular_values
+        keep = s >= cut
+        k = int(keep.sum())
+        part = (fact.left_vectors[:, keep] * s[keep]) @ fact.right_vectors[:, keep].T
+    return (part.T if tall else part), k
 
 
 def _partial_part(a: np.ndarray, cut: float, symmetric: bool):
-    """The partial path of :func:`thresholded_part`: its certified
-    ``(part, k)``, or ``None`` where the full path must run."""
-    if not symmetric and a.shape[0] > a.shape[1]:
-        found = _partial_part(a.T, cut, False)
-        return None if found is None else (found[0].T, found[1])
+    """The partial path of :func:`thresholded_part` for an ``a`` with no
+    more rows than columns: its certified ``(part, k)``, or ``None`` where
+    the full path must run."""
     m, n = a.shape
     width = _BLOCK * (_STEPS + 1)
     q = np.empty((m, width), order="F")

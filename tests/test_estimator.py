@@ -177,7 +177,7 @@ class TestUsvtEstimate:
         rep = usvt_estimate(data, EstimatorConfig(eta=0.05))
         rep_t = usvt_estimate(flipped, EstimatorConfig(eta=0.05))
         # Both orientations reduce to the same rows <= cols computation.
-        assert np.array_equal(rep.estimate, rep_t.estimate.T)
+        assert rep.estimate.tobytes() == rep_t.estimate.T.tobytes()
         assert rep.threshold == rep_t.threshold
         assert rep.retained_rank == rep_t.retained_rank
 

@@ -96,42 +96,31 @@ class TestNuclearBracket:
 
 class TestDistanceBracket:
     @staticmethod
-    def fine_oracle(n, p, covering, num=4000):
+    def fine_oracle(n, p, num=4000):
+        # The unit interval: ceil(1/d) balls of radius d cover it.
         deltas = np.logspace(-math.log10(n), 0.0, num)
         return min(
-            min((d + math.sqrt(covering(d / 4.0) / n)) / math.sqrt(p), 1.0) for d in deltas
+            min((d + math.sqrt(math.ceil(4.0 / d) / n)) / math.sqrt(p), 1.0) for d in deltas
         )
 
     def test_interval_covering_magnitude(self):
-        cov = lambda d: math.ceil(1.0 / d)
-        got = distance_bracket(10**6, 1.0, cov)
-        fine = self.fine_oracle(10**6, 1.0, cov)
+        got = distance_bracket(10**6, 1.0, 1)
+        fine = self.fine_oracle(10**6, 1.0)
         assert got == pytest.approx(fine, rel=0.02)
         assert 0.02 <= got <= 0.04  # ~3 n^{-1/3} at n = 1e6
 
     def test_interval_covering_slope(self):
-        cov = lambda d: math.ceil(1.0 / d)
         ns = [10**4, 3 * 10**4, 10**5, 3 * 10**5, 10**6]
-        fit = rate_fit(ns, [distance_bracket(n, 1.0, cov) for n in ns])
+        fit = rate_fit(ns, [distance_bracket(n, 1.0, 1) for n in ns])
         assert fit.slope == pytest.approx(-1.0 / 3.0, abs=0.05)
 
-    def test_single_ball_space(self):
-        for n in (100, 10000):
-            got = distance_bracket(n, 1.0, lambda d: 1)
-            assert abs(got - 1.0 / math.sqrt(n)) <= 1.0 / n + 1e-12
-
     def test_clamps_at_one(self):
-        assert distance_bracket(1000, 1e-6, lambda d: math.ceil(1.0 / d)) == 1.0
+        assert distance_bracket(1000, 1e-6, 1) == 1.0
 
     def test_p_scaling(self):
-        cov = lambda d: math.ceil(1.0 / d)
-        b1 = distance_bracket(10**5, 1.0, cov)
-        b2 = distance_bracket(10**5, 0.25, cov)
+        b1 = distance_bracket(10**5, 1.0, 1)
+        b2 = distance_bracket(10**5, 0.25, 1)
         assert b2 == pytest.approx(2.0 * b1, rel=1e-9)
-
-    def test_nonmonotone_covering_rejected(self):
-        with pytest.raises(ValidationError):
-            distance_bracket(100, 1.0, lambda d: d)
 
 
 class TestSimpleBrackets:
@@ -147,9 +136,8 @@ class TestSimpleBrackets:
     def test_lipschitz_matches_distance_exponent(self):
         # The covering bracket for an interval decays with the same
         # exponent as the dim = 1 Lipschitz bracket.
-        cov = lambda d: math.ceil(1.0 / d)
         ns = [10**4, 10**5, 10**6]
-        slope_cov = rate_fit(ns, [distance_bracket(n, 1.0, cov) for n in ns]).slope
+        slope_cov = rate_fit(ns, [distance_bracket(n, 1.0, 1) for n in ns]).slope
         slope_lip = rate_fit(ns, [lipschitz_latent_bracket(n, 1.0, 1) for n in ns]).slope
         assert abs(slope_cov - slope_lip) <= 0.05
 
@@ -186,9 +174,10 @@ class TestSimpleBrackets:
         (bradley_terry_bracket, (10, 1.5)),
         (psd_bracket, (0, 0.5)),
         (psd_bracket, (10, -0.1)),
-        (distance_bracket, (0, 0.5, lambda d: 1)),
-        (distance_bracket, (10, 0.0, lambda d: 1)),
+        (distance_bracket, (0, 0.5, 1)),
+        (distance_bracket, (10, 0.0, 1)),
         (nuclear_bracket, (np.ones((3, 3)), 0.0)),
+        (distance_bracket, (10, 0.5, 0)),
     ])
     def test_out_of_range_arguments_rejected(self, bracket, args):
         with pytest.raises(ValidationError):

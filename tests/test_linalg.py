@@ -227,6 +227,28 @@ def test_thresholded_part_keeps_a_singular_value_equal_to_the_cut(symmetric):
     assert np.abs(part - np.diag([3.0, 0.0, 0.0])).max() <= 1e-12
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "1-D"])
+def test_thresholded_part_validates_symmetric_input(bad):
+    a = np.eye(4) if bad != "1-D" else np.ones(4)
+    if bad != "1-D":
+        a[1, 1] = float(bad)
+    with pytest.raises(ValidationError):
+        thresholded_part(a, 0.5, symmetric=True)
+
+
+@pytest.mark.parametrize("m, n", [(60, 45), (540, 500)])
+def test_thresholded_part_cuts_a_tall_input_as_its_transpose(m, n):
+    # 540 x 500 takes the partial path; 60 x 45 the full SVD.
+    rng = make_rng(m)
+    a = rng.uniform(-1, 1, (m, 3)) @ rng.uniform(-1, 1, (3, n)) + 0.1 * rng.uniform(-1, 1, (m, n))
+    s = np.linalg.svd(a, compute_uv=False)
+    cut = (s[2] + s[3]) / 2.0
+    part, k = thresholded_part(a, cut)
+    wide_part, wide_k = thresholded_part(a.T, cut)
+    assert k == wide_k == 3
+    assert wide_part.T.tobytes() == part.tobytes()
+
+
 #: Shapes at the size where ``thresholded_part`` starts trying its partial path.
 LARGE = {"tall": (540, 500), "wide": (500, 540), "square": (500, 500), "symmetric": (500, 500)}
 

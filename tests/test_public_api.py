@@ -57,7 +57,7 @@ OPTIONS = {
     "check_suite": ("selectors", "seed"),
     "denoise_by_threshold": ("a", "b", "delta"),
     "denoise_error_constant": ("delta",),
-    "distance_bracket": ("n", "p", "covering"),
+    "distance_bracket": ("n", "p", "dim"),
     "estimate_file": ("input_path", "out_path", "report_path", "eta", "sigma_sq", "interval",
                       "mode", "header"),
     "frobenius_norm": ("a",),
