@@ -122,6 +122,13 @@ class TestDistanceBracket:
         b2 = distance_bracket(10**5, 0.25, 1)
         assert b2 == pytest.approx(2.0 * b1, rel=1e-9)
 
+    def test_nonmonotone_covering_rejected(self):
+        # The covering ceil(4 / delta)^dim shrinks as delta shrinks for a
+        # negative dim and is constant for dim = 0; both are refused.
+        for dim in (0, -1, -3):
+            with pytest.raises(ValidationError, match="dim must be positive"):
+                distance_bracket(10**4, 0.5, dim)
+
 
 class TestSimpleBrackets:
     def test_lipschitz_values(self):

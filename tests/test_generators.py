@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,37 @@ class TestLatentSpace:
         for f in ["dott", ["dot"], LATENT_CATALOG["dot"]]:
             with pytest.raises(ValidationError, match="unknown latent function"):
                 gen_latent_space(5, 1, f, seed=15)
+
+    @staticmethod
+    def refused_before_called(f, calls):
+        # A function outside the catalog is refused, with the catalog's names
+        # in the message, before it is evaluated even once.
+        names = re.escape(str(sorted(LATENT_CATALOG)))
+        with pytest.raises(ValidationError, match=f"unknown latent function .*{names}"):
+            gen_latent_space(5, 2, f, seed=15)
+        assert calls == []
+
+    def test_out_of_range_rejected(self):
+        # Values outside [-1, 1] can only come from outside the catalog,
+        # whose entries stay in range (test_catalog_values_in_range).
+        calls = []
+
+        def too_large(x, y):
+            calls.append(1)
+            return 2.0 + (x * y).sum(axis=-1)
+
+        self.refused_before_called(too_large, calls)
+
+    def test_wrong_shape_rejected(self):
+        # A wrongly shaped result can only come from outside the catalog,
+        # whose entries return n x n (test_catalog_values_in_range).
+        calls = []
+
+        def flat(x, y):
+            calls.append(1)
+            return np.zeros(3)
+
+        self.refused_before_called(flat, calls)
 
 
 class TestCorrelation:
