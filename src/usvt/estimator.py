@@ -209,10 +209,12 @@ def _normalise(data: MaskedMatrix, interval):
 
 def _restore(w: np.ndarray, p_hat: float, lo: float, hi: float) -> np.ndarray:
     """Rescale ``w`` by ``1 / p_hat``, clip to [-1, 1], map back onto
-    [lo, hi] and clamp exactly to it."""
-    mid = (lo + hi) / 2.0
-    half = (hi - lo) / 2.0
-    return np.clip(np.clip(w / p_hat, -1.0, 1.0) * half + mid, lo, hi)
+    [lo, hi] and clamp exactly to it, all in ``w``'s own buffer: every
+    caller passes an array of its own."""
+    np.clip(np.divide(w, p_hat, out=w), -1.0, 1.0, out=w)
+    w *= (hi - lo) / 2.0
+    w += (lo + hi) / 2.0
+    return np.clip(w, lo, hi, out=w)
 
 
 def usvt_estimate(data: MaskedMatrix, config: EstimatorConfig) -> EstimateReport:

@@ -95,14 +95,16 @@ class Family:
     default, whose type is the kind), symmetry mode, known value interval,
     ``realize(prm, n, p, model_seed, data_seed) -> (truth, data)`` with
     ``data`` a full matrix seen through a Bernoulli(p) mask in ``mode`` or a
-    self-masked :class:`MaskedMatrix`, and ``bracket(prm, n, p)``, the rate
-    bracket (``None``: nuclear-norm bracket of the first trial's truth)."""
+    self-masked :class:`MaskedMatrix`, ``bracket(prm, n, p)``, the rate
+    bracket (``None``: nuclear-norm bracket of the first trial's truth), and
+    ``clashes``, ``(message, test)`` pairs rejecting parameters given together."""
 
     params: dict
     mode: SymmetryMode
     interval: tuple | None
     realize: Callable
     bracket: Callable | None = None
+    clashes: tuple = ()
 
 
 def _observed(x: np.ndarray, mask: np.ndarray, mode: SymmetryMode) -> MaskedMatrix:
@@ -163,6 +165,9 @@ FAMILIES = {
          "observe_diagonal": True},
         SYM, (0.0, 1.0), _realize_blockmodel,
         lambda prm, n, p: min(math.sqrt(prm["k"] / (n * p)), 1.0),
+        (("parameter 'block_probs' excludes 'in_prob' and 'out_prob'",
+          lambda prm: prm.get("block_probs") is not None
+          and {"in_prob", "out_prob"} & prm.keys()),),
     ),
     "distance": Family(
         {"dim": 1, "metric": tuple(DISTANCE_METRICS)}, SYM, (0.0, 1.0),
@@ -188,6 +193,8 @@ FAMILIES = {
          "games_per_pair": 1},
         SymmetryMode.SKEW_SYMMETRIC, (0.0, 1.0), _realize_bradley_terry,
         lambda prm, n, p: bradley_terry_bracket(n, p),
+        (("parameter 'strengths' applies only to family 'parametric'",
+          lambda prm: prm.get("strengths") is not None and prm.get("family") != "parametric"),),
     ),
     # Nuclear budget theta * n^{3/2}; the construction requires p < 1.
     "minimax": Family({"theta": float}, ASYM, None, _exact(
@@ -215,6 +222,7 @@ class ModelSpec:
         bad = [f"unknown parameter {k!r}" for k in self.params if k not in family.params]
         bad += [f"missing parameter {k!r}" for k, v in family.params.items()
                 if isinstance(v, type) and k not in self.params]
+        bad += [message for message, clash in family.clashes if clash(self.params)]
         if bad:
             accepted = ", ".join(sorted(family.params)) or "none"
             raise ValidationError(f"{self.kind} model: {'; '.join(bad)}; accepted: {accepted}")

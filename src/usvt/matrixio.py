@@ -5,6 +5,11 @@ header row carries generic column names. The reader takes the literal
 token ``NA`` as a missing entry; the writer writes fully observed
 matrices (estimates), so it never writes ``NA``. Floats are written with
 ``repr``, so a write/read round trip reproduces every value exactly.
+
+The reader parses each row in one pass; a row that pass cannot take (a
+wrong width, a non-finite value, or a field ``float`` rejects, as ``NA``
+with spaces does) is checked field by field, stripped, in file order, and
+accepted or reported as its first fault.
 """
 
 from __future__ import annotations
@@ -26,8 +31,6 @@ def read_matrix_csv(path, header: bool = False):
     carry value 0.0. Malformed content raises :class:`MatrixFormatError`
     with the offending 1-based line number.
     """
-    rows = []
-    width = None
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     # Drop a single trailing newline artifact, keep interior blank lines
@@ -38,47 +41,53 @@ def read_matrix_csv(path, header: bool = False):
     data_lines = lines[1:] if header else lines
     if not data_lines:
         raise MatrixFormatError("no matrix rows found")
-    for offset, line in enumerate(data_lines):
-        lineno = start + offset
-        fields = [f.strip() for f in line.split(",")]
-        if fields == [""]:
-            raise MatrixFormatError("blank row", line=lineno)
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise MatrixFormatError(
-                f"expected {width} fields, found {len(fields)}", line=lineno
-            )
-        row_vals = []
-        row_mask = []
-        for field in fields:
-            if field == NA_TOKEN:
-                row_vals.append(0.0)
-                row_mask.append(False)
-            else:
-                try:
-                    value = float(field)
-                except ValueError:
-                    raise MatrixFormatError(
-                        f"not a number or {NA_TOKEN!r}: {field!r}", line=lineno
-                    ) from None
-                if not np.isfinite(value):
-                    raise MatrixFormatError(f"non-finite value {field!r}", line=lineno)
-                row_vals.append(value)
-                row_mask.append(True)
-        rows.append((row_vals, row_mask))
-    values = np.array([r[0] for r in rows], dtype=float)
-    mask = np.array([r[1] for r in rows], dtype=bool)
+    width = len(data_lines[0].split(","))
+    values = np.empty((len(data_lines), width))
+    mask = np.empty((len(data_lines), width), dtype=bool)
+    for i, line in enumerate(data_lines):
+        if not _fill(line.split(","), width, values[i], mask[i]):
+            _fill(_parse_row(line, start + i, width), width, values[i], mask[i])
     return values, mask
+
+
+def _fill(fields, width, values, mask):
+    """Parse ``fields`` into the rows ``values`` and ``mask``; False where
+    the row must go to :func:`_parse_row`."""
+    if len(fields) != width:
+        return False
+    mask[:] = seen = [f != NA_TOKEN for f in fields]
+    try:
+        values[:] = [float(f) if s else 0.0 for f, s in zip(fields, seen)]
+    except ValueError:
+        return False
+    return np.isfinite(values).all()
+
+
+def _parse_row(line, lineno, width):
+    """The stripped fields of ``line``, or the :class:`MatrixFormatError`
+    of its first fault."""
+    fields = [f.strip() for f in line.split(",")]
+    if fields == [""]:
+        raise MatrixFormatError("blank row", line=lineno)
+    if len(fields) != width:
+        raise MatrixFormatError(f"expected {width} fields, found {len(fields)}", line=lineno)
+    for field in fields:
+        try:
+            finite = field == NA_TOKEN or np.isfinite(float(field))
+        except ValueError:
+            raise MatrixFormatError(
+                f"not a number or {NA_TOKEN!r}: {field!r}", line=lineno) from None
+        if not finite:
+            raise MatrixFormatError(f"non-finite value {field!r}", line=lineno)
+    return fields
 
 
 def write_matrix_csv(path, values, header: bool = False) -> None:
     """Write a fully observed matrix with full round-trip precision, with a
     ``c0,c1,...`` header row when ``header`` is set."""
     values = as_matrix(values)
-    lines = []
-    if header:
-        lines.append(",".join(f"c{j}" for j in range(values.shape[1])))
-    lines.extend(",".join(map(repr, row)) for row in values.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if header:
+            fh.write(",".join(f"c{j}" for j in range(values.shape[1])) + "\n")
+        for row in values:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")

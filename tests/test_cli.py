@@ -115,6 +115,13 @@ def write_config(tmp_path, config):
           ("latent", {"f": "nope"}, "f"),
           ("graphon", {"f": "nope"}, "f"),
           ("bradley_terry", {"family": "elo"}, "family"),
+          ("blockmodel", {"k": 2, "block_probs": [[0.5, 0.1], [0.1, 0.5]], "in_prob": 0.9},
+           "block_probs"),
+          ("blockmodel", {"k": 2, "block_probs": [[0.5, 0.1], [0.1, 0.5]], "out_prob": 0.1},
+           "block_probs"),
+          ("bradley_terry", {"strengths": [1.0, 2.0]}, "strengths"),
+          ("bradley_terry", {"family": "nonparametric_monotone", "strengths": [1.0, 2.0]},
+           "strengths"),
       ]],
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, override, field):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from usvt.errors import MatrixFormatError
 from usvt.matrixio import NA_TOKEN, read_matrix_csv, write_matrix_csv
@@ -94,3 +95,130 @@ def test_written_text_pinned(tmp_path):
     path = tmp_path / "m.csv"
     write_matrix_csv(path, np.array([[-0.0, 5e-324], [1e16, 0.1]]), header=True)
     assert path.read_text() == "c0,c1\n-0.0,5e-324\n1e+16,0.1\n"
+
+
+def _reference_read(path, header=False):
+    """The field-by-field reader that the one-pass reader replaced, kept as
+    the reference that it must match: same arrays, or the same error."""
+    rows = []
+    width = None
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    start = 2 if header else 1
+    data_lines = lines[1:] if header else lines
+    if not data_lines:
+        raise MatrixFormatError("no matrix rows found")
+    for offset, line in enumerate(data_lines):
+        lineno = start + offset
+        fields = [f.strip() for f in line.split(",")]
+        if fields == [""]:
+            raise MatrixFormatError("blank row", line=lineno)
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise MatrixFormatError(
+                f"expected {width} fields, found {len(fields)}", line=lineno
+            )
+        row_vals = []
+        row_mask = []
+        for field in fields:
+            if field == NA_TOKEN:
+                row_vals.append(0.0)
+                row_mask.append(False)
+            else:
+                try:
+                    value = float(field)
+                except ValueError:
+                    raise MatrixFormatError(
+                        f"not a number or {NA_TOKEN!r}: {field!r}", line=lineno
+                    ) from None
+                if not np.isfinite(value):
+                    raise MatrixFormatError(f"non-finite value {field!r}", line=lineno)
+                row_vals.append(value)
+                row_mask.append(True)
+        rows.append((row_vals, row_mask))
+    values = np.array([r[0] for r in rows], dtype=float)
+    mask = np.array([r[1] for r in rows], dtype=bool)
+    return values, mask
+
+
+def _outcome(read, path, header):
+    """What ``read`` makes of ``path``: the dtype, shape and bytes of both
+    arrays, or the error's message and line."""
+    try:
+        values, mask = read(path, header=header)
+    except MatrixFormatError as err:
+        return "error", str(err), err.line
+    return ("arrays", values.dtype.str, values.shape, values.tobytes(),
+            mask.dtype.str, mask.shape, mask.tobytes())
+
+
+_PAD = st.sampled_from(["", "", " ", "\t", " \t "])
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1_0", "-0", "+.5", "1e-3", "2.5E+2", "-0.0"]),
+)
+_FAULTS = st.one_of(
+    st.none(),
+    st.tuples(st.just("ragged"), st.booleans()),
+    st.just(("trailing comma",)),
+    st.tuples(st.just("blank line"), st.sampled_from(["", " ", "\t"])),
+    st.tuples(st.just("token"), st.sampled_from(
+        ["oops", "", "na", "N A", "NA NA", "1,5", "0x10", "--1", "1e", "\u00a0NA"])),
+    st.tuples(st.just("token"), st.sampled_from(
+        ["inf", "-inf", "nan", "NaN", "Infinity", "1e400", "-1e999"])),
+)
+
+
+@st.composite
+def _csv_cases(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    cells = [[draw(_PAD) + (NA_TOKEN if draw(st.booleans()) else draw(_NUMBER)) + draw(_PAD)
+              for _ in range(cols)] for _ in range(rows)]
+    fault = draw(_FAULTS)
+    if fault is not None:
+        i = draw(st.integers(0, rows - 1))
+        if fault[0] == "ragged":
+            cells[i] = cells[i][:-1] if fault[1] else cells[i] + ["1.0"]
+        elif fault[0] == "trailing comma":
+            cells[i] = cells[i] + [""]
+        elif fault[0] == "token":
+            cells[i][draw(st.integers(0, cols - 1))] = draw(_PAD) + fault[1] + draw(_PAD)
+    lines = [",".join(row) for row in cells]
+    if fault is not None and fault[0] == "blank line":
+        lines.insert(draw(st.integers(0, rows)), fault[1])
+    header = draw(st.booleans())
+    if header:
+        lines.insert(0, ",".join(f"c{j}" for j in range(cols)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    return text, header
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_csv_cases())
+def test_reader_matches_reference(tmp_path_factory, case):
+    text, header = case
+    path = tmp_path_factory.mktemp("differential") / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert (_outcome(read_matrix_csv, path, header)
+            == _outcome(_reference_read, path, header))
+
+
+@pytest.mark.parametrize("text, header", [
+    ("1.0\nNA\n-2.5\n 3 \nNA \n", False),
+    ("c0\n", True),
+    ("c0,c1\r\n", True),
+    (" NA ,\t1.0\n2.0,NA\t\n", False),
+])
+def test_reader_matches_reference_cases(tmp_path, text, header):
+    # A tall one-column file, two header-only files, and rows that only the
+    # field-by-field parse accepts.
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert (_outcome(read_matrix_csv, path, header)
+            == _outcome(_reference_read, path, header))
