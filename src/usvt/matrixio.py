@@ -45,15 +45,15 @@ def read_matrix_csv(path, header: bool = False):
     values = np.empty((len(data_lines), width))
     mask = np.empty((len(data_lines), width), dtype=bool)
     for i, line in enumerate(data_lines):
-        if not _fill(line.split(","), width, values[i], mask[i]):
-            _fill(_parse_row(line, start + i, width), width, values[i], mask[i])
+        if not _fill(line.split(","), values[i], mask[i]):
+            _fill(_parse_row(line, start + i, width), values[i], mask[i])
     return values, mask
 
 
-def _fill(fields, width, values, mask):
+def _fill(fields, values, mask):
     """Parse ``fields`` into the rows ``values`` and ``mask``; False where
     the row must go to :func:`_parse_row`."""
-    if len(fields) != width:
+    if len(fields) != len(values):
         return False
     mask[:] = seen = [f != NA_TOKEN for f in fields]
     try:
