@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .generators import _named, sample_upper
-from .linalg import as_matrix, nuclear_norm
+from .linalg import _MARGIN, _norm_below, as_matrix, nuclear_norm
 from .rng import make_rng, mix_seed
 
 __all__ = [
@@ -144,6 +144,11 @@ def spectral_concentration_trial(n: int, dist: str, eta: float, trials: int, see
     whose variance is ``sigma^2``, and mirrors them below. Requires
     ``sigma^2 >= n^{-0.9}``, the regime in which the exceedance
     probability is exponentially small.
+
+    A trial is a hit if one Cholesky factorization of ``c^2 I - A^2``
+    completes for the bound ``c`` shrunk by ``usvt.linalg._MARGIN``, far more
+    than ``eigvalsh`` errs; otherwise ``max |eigvalsh(A)| <= bound`` decides.
+    Either way the fraction is that of ``eigvalsh`` alone.
     """
     if n < 1 or trials < 1:
         raise ValidationError("n and trials must be positive")
@@ -155,7 +160,8 @@ def spectral_concentration_trial(n: int, dist: str, eta: float, trials: int, see
     for t in range(trials):
         rng = make_rng(mix_seed(seed, t))
         a = sample_upper(n, lambda i, j: sampler(rng, i.size))
-        hits += float(np.abs(np.linalg.eigvalsh(a)).max()) <= bound
+        hits += (_norm_below(a, None, bound * (1.0 - _MARGIN))
+                 or float(np.abs(np.linalg.eigvalsh(a)).max()) <= bound)
     return hits / trials
 
 

@@ -313,6 +313,13 @@ class ExperimentSpec:
             raise ValidationError("p_grid: observation probabilities must lie in [0, 1]")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
+        prm = self.model.params
+        if self.model.kind == "bradley_terry" and prm.get("family") == "parametric":
+            size = len(prm["strengths"]) if hasattr(prm.get("strengths"), "__len__") else None
+            misfit = [n for n in self.n_grid if n != size]
+            if misfit:
+                raise ValidationError(f"bradley_terry model: parameter 'strengths' does not fit "
+                                      f"n = {misfit[0]}")
         EstimatorConfig(eta=self.eta, sigma_sq=self.sigma_sq)
 
     def to_dict(self) -> dict:

@@ -42,15 +42,15 @@ _STEPS = 20
 _FIRST_RITZ = 2
 #: Relative distance from the cut within which a Ritz value is a near-tie.
 #: The certificate also shrinks the cut ``c`` by it, to cover rounding. A
-#: Cholesky factorization of an n x n matrix that completes in floating
-#: point proves it definite up to a shift of about (n+1) u tr (Rump, BIT 46,
-#: 2006; u = 2^-53). For ``c I - R`` and ``c I + R`` (traces at most 2 n c)
-#: that is 2 n^2 u c, about 1e-9 c at n = 2200; for ``c^2 I - R R^T`` with
-#: m <= n rows it is m^2 u c^2. Forming ``R R^T`` errs by at most
-#: n m u ||R||^2 in norm, which moves ||R|| by n m u / 2 relative; forming
-#: ``R`` and the rank-k part moves it by a few u times ||R|| and s_1, about
-#: 1e-9 c at most while s_1 / c < 1e6. The margin covers the sum for n up
-#: to about 67,000 (symmetric) and 95,000 (general, square).
+#: Cholesky factorization of an m x m matrix that completes in floating
+#: point proves it definite up to a shift of about (m+1) u tr (Rump, BIT 46,
+#: 2006; u = 2^-53). For ``c^2 I - R R^T`` with m <= n rows the trace is at
+#: most m c^2, so the shift moves the proved bound on ||R|| by m^2 u / 2
+#: relative. Forming ``R R^T`` errs by at most n m u ||R||^2 in norm, which
+#: moves ||R|| by n m u / 2 relative; forming ``R`` and the rank-k part
+#: moves it by a few u times ||R|| and s_1, about 1e-9 c at most while
+#: s_1 / c < 1e6. The margin covers the sum for every shape, a symmetric
+#: ``R`` included, with n up to about 95,000.
 _MARGIN = 1e-6
 #: Largest accepted residual of the kept Ritz pairs, as a fraction of the
 #: distance of the smallest kept Ritz value from the cut.
@@ -135,9 +135,9 @@ def thresholded_part(a, cut: float, symmetric: bool = False) -> tuple[np.ndarray
     A partial result is returned only when it is certified. Its ``k`` Ritz
     values reach the cut, and Ritz values are lower bounds (interlacing), so
     ``s_k >= cut``. And ``||a - part|| < cut``, which bounds ``s_{k+1}``
-    for any rank-``k`` part, decided by a Cholesky factorization of
-    ``c^2 I - R R^T`` (of ``c I - R`` and ``c I + R`` when symmetric) for
-    ``R = a - part`` and the cut ``c`` shrunk by a relative margin of 1e-6.
+    for any rank-``k`` part, decided by one Cholesky factorization of
+    ``c^2 I - R R^T`` for ``R = a - part``, symmetric or not, and the cut
+    ``c`` shrunk by a relative margin of 1e-6.
     The full path runs instead when more than 5 Ritz values reach the cut
     (the block of 10 is saturated; tested on the first two blocks of the
     basis and again on all of it), when a Ritz value lies within the margin
@@ -215,7 +215,7 @@ def _partial_part(a: np.ndarray, cut: float, symmetric: bool):
                   <= _RESIDUAL * (np.abs(lam).min() - cut)):
         return None
     part = (u * lam) @ v.T
-    if not _norm_below(a - part, cut * (1.0 - _MARGIN), symmetric):
+    if not _norm_below(a, part, cut * (1.0 - _MARGIN)):
         return None
     return part, k
 
@@ -232,25 +232,20 @@ def _ritz(q: np.ndarray, w: np.ndarray, symmetric: bool):
     return values, left_t.T, right
 
 
-def _norm_below(r: np.ndarray, c: float, symmetric: bool) -> bool:
-    """Whether ``||r|| < c``, decided by Cholesky factorizations: of
-    ``c^2 I - r r^T`` (``r`` has no more rows than columns), or of
-    ``c I - r`` and then ``c I + r`` for a symmetric ``r``, built in place
-    of ``r``."""
-    if symmetric:
-        shifts = (c, 2.0 * c)
-    else:
-        r = r @ r.T
-        shifts = (c * c,)
-    diagonal = np.diag_indices_from(r)
+def _norm_below(a: np.ndarray, part, c: float) -> bool:
+    """Whether ``||r|| < c`` for ``r = a - part``, or ``r = a`` when ``part``
+    is None: ``c > 0`` and one Cholesky factorization of ``c^2 I - r r^T``
+    completes, ``r`` having no more rows than columns. ``a`` is not written."""
+    r = a if part is None else a - part
+    g = r @ r.T
+    del r
+    np.negative(g, out=g)
+    g[np.diag_indices_from(g)] += c * c
     try:
-        for shift in shifts:
-            np.negative(r, out=r)
-            r[diagonal] += shift
-            np.linalg.cholesky(r)
+        np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         return False
-    return True
+    return c > 0
 
 
 def _singular_values(a) -> np.ndarray:

@@ -7,9 +7,9 @@ matrices (estimates), so it never writes ``NA``. Floats are written with
 ``repr``, so a write/read round trip reproduces every value exactly.
 
 The reader parses each row in one pass; a row that pass cannot take (a
-wrong width, a non-finite value, or a field ``float`` rejects, as ``NA``
-with spaces does) is checked field by field, stripped, in file order, and
-accepted or reported as its first fault.
+wrong width, a non-finite value, a ``_`` or non-ASCII character, or a field
+``float`` rejects, as ``NA`` with spaces does) is checked field by field,
+stripped, in file order, and accepted or reported as its first fault.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def read_matrix_csv(path, header: bool = False):
     values = np.empty((len(data_lines), width))
     mask = np.empty((len(data_lines), width), dtype=bool)
     for i, line in enumerate(data_lines):
-        if not _fill(line.split(","), values[i], mask[i]):
+        if "_" in line or not line.isascii() or not _fill(line.split(","), values[i], mask[i]):
             _fill(_parse_row(line, start + i, width), values[i], mask[i])
     return values, mask
 
@@ -64,15 +64,17 @@ def _fill(fields, values, mask):
 
 
 def _parse_row(line, lineno, width):
-    """The stripped fields of ``line``, or the :class:`MatrixFormatError`
-    of its first fault."""
-    fields = [f.strip() for f in line.split(",")]
+    """The stripped fields of ``line`` (a non-ASCII one unstripped), or the
+    :class:`MatrixFormatError` of its first fault."""
+    fields = [f.strip() if f.isascii() else f for f in line.split(",")]
     if fields == [""]:
         raise MatrixFormatError("blank row", line=lineno)
     if len(fields) != width:
         raise MatrixFormatError(f"expected {width} fields, found {len(fields)}", line=lineno)
     for field in fields:
         try:
+            if "_" in field or not field.isascii():
+                raise ValueError(field)
             finite = field == NA_TOKEN or np.isfinite(float(field))
         except ValueError:
             raise MatrixFormatError(

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 
 import numpy as np
@@ -85,6 +86,11 @@ def test_suite_all_excludes_negative_control():
     assert "negative-control" not in names
     assert {"denoise-bound", "norms", "concentration", "generators"} <= set(names)
     assert report.ok
+    # The printed report's bytes, recorded when every concentration trial
+    # still ran eigvalsh: the same seed must print the same report.
+    text = "\n".join(report.summary_lines())
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "11f7fbc3cf3a628b15ed88d522421616c97a559e790ce1a4b797c47b1bb8d947")
 
 
 def test_suite_negative_control_selector():

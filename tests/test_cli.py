@@ -123,6 +123,12 @@ def write_config(tmp_path, config):
           ("bradley_terry", {"family": "nonparametric_monotone", "strengths": [1.0, 2.0]},
            "strengths"),
       ]],
+    # A parametric strengths list fits one n: missing, or not of every n of the grid.
+    ({"model": {"kind": "bradley_terry", "params": {"family": "parametric"}}},
+     "parameter 'strengths' does not fit n = 8"),
+    ({"model": {"kind": "bradley_terry",
+                "params": {"family": "parametric", "strengths": [1.0] * 8}},
+      "n_grid": [8, 4, 16]}, "parameter 'strengths' does not fit n = 4"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, override, field):
     config = {"model": {"kind": "zero"}, "n_grid": [8], "p_grid": [1.0], **override}

@@ -5,7 +5,9 @@ import pytest
 
 import usvt
 from usvt.errors import ValidationError
+import usvt.evaluation as evaluation_module
 from usvt.evaluation import (
+    ENTRY_DISTRIBUTIONS,
     bradley_terry_bracket,
     distance_bracket,
     lipschitz_latent_bracket,
@@ -16,7 +18,8 @@ from usvt.evaluation import (
     rate_fit,
     spectral_concentration_trial,
 )
-from usvt.generators import gen_blockmodel, gen_low_rank
+from usvt.generators import gen_blockmodel, gen_low_rank, sample_upper
+from usvt.linalg import _norm_below
 from usvt.rng import make_rng, mix_seed
 
 
@@ -220,7 +223,61 @@ class TestRateFit:
             rate_fit([10, 20, 30], [1.0, 0.5])
 
 
+def _eigvalsh_trial(n, dist, eta, trials, seed):
+    """The concentration trial as it was before the Cholesky certificate,
+    kept as the reference it must match: one ``eigvalsh`` per matrix."""
+    sampler, sigma_sq = ENTRY_DISTRIBUTIONS[dist]
+    bound = (2.0 + eta) * math.sqrt(sigma_sq) * math.sqrt(n)
+    hits = 0
+    for t in range(trials):
+        rng = make_rng(mix_seed(seed, t))
+        a = sample_upper(n, lambda i, j: sampler(rng, i.size))
+        hits += float(np.abs(np.linalg.eigvalsh(a)).max()) <= bound
+    return hits / trials
+
+
 class TestSpectralConcentration:
+    def test_matches_eigvalsh_reference(self):
+        # Settings on both sides of the bulk edge 2 sigma sqrt(n), so that the
+        # certificate decides some trials and eigvalsh the others.
+        fractions = []
+        for n in (30, 90, 200):
+            for dist in ENTRY_DISTRIBUTIONS:
+                for eta in (-0.3, -0.15, 0.0, 0.1):
+                    frac = spectral_concentration_trial(n, dist, eta, trials=30, seed=n)
+                    assert frac == _eigvalsh_trial(n, dist, eta, 30, n), (n, dist, eta)
+                    fractions.append(frac)
+        assert any(0.0 < f < 1.0 for f in fractions)
+        assert 0.0 in fractions and 1.0 in fractions
+
+    def test_negative_bound_is_never_met(self):
+        # eta < -2 makes the bound negative; its square still exceeds ||A||^2.
+        assert spectral_concentration_trial(30, "rademacher", -9.0, trials=5, seed=3) == 0.0
+
+    def test_certified_hit_survives_worst_case_rounding(self, monkeypatch):
+        # A floating-point Cholesky that completes proves definiteness only up
+        # to a shift of (m + 1) u tr (Rump, BIT 46, 2006). Factor with that
+        # whole shift added, on a matrix whose norm exceeds the bound by 1e-13
+        # relative: eigvalsh calls it a miss, and so must the trial.
+        n = 100
+        bound = 2.1 * math.sqrt(n)  # rademacher, sigma = 1, eta = 0.1
+        q = np.linalg.qr(make_rng(5).standard_normal((n, n)))[0]
+        s = np.concatenate([[-bound * (1.0 + 1e-13)], np.linspace(0.5, -0.5, n - 1) * bound])
+        a = (q * s) @ q.T
+        a = (a + a.T) / 2.0
+        assert float(np.abs(np.linalg.eigvalsh(a)).max()) > bound
+        cholesky = np.linalg.cholesky
+
+        def lenient_cholesky(g):
+            shift = (len(g) + 1) * 2.0 ** -53 * abs(np.trace(g))
+            return cholesky(g + shift * np.eye(len(g)))
+
+        monkeypatch.setattr(np.linalg, "cholesky", lenient_cholesky)
+        # The premise: at the bound itself, with no margin, it certifies.
+        assert _norm_below(a, None, bound)
+        monkeypatch.setattr(evaluation_module, "sample_upper", lambda n, draw: a.copy())
+        assert spectral_concentration_trial(n, "rademacher", 0.1, trials=2, seed=1) == 0.0
+
     def test_degenerate_n_one(self):
         frac = spectral_concentration_trial(1, "rademacher", 0.1, trials=5, seed=14)
         assert frac == 1.0  # |a| <= 1 <= 2.1 always

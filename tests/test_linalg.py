@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 import usvt.linalg as linalg_module
 from usvt.errors import ValidationError
 from usvt.linalg import (
+    _norm_below,
     as_matrix,
     frobenius_norm,
     nuclear_norm,
@@ -275,6 +276,33 @@ def test_thresholded_part_matches_svd_oracle_above_cutoff(seed, shape, position)
     part, k = thresholded_part(a, cut, symmetric=shape == "symmetric")
     assert k == position
     assert np.abs(part - (u[:, :k] * s[:k]) @ vt[:k]).max() <= 1e-10
+
+
+@pytest.mark.parametrize("case", ["symmetric", "wide", "part"])
+@pytest.mark.parametrize("scale", [1.0 - 1e-3, 1.0 + 1e-3])
+def test_norm_below_decides_exact_spectra(case, scale):
+    # Q diag(s) P^T with a known norm, against a c just below or just above it.
+    rng = make_rng(29)
+    m, n = (60, 60) if case == "symmetric" else (40, 90)
+    q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    if case == "symmetric":
+        # The most negative eigenvalue sets the norm: c I - A alone is
+        # definite for every c in (2.5, 3), and proves nothing there.
+        s = np.concatenate([[-3.0, 2.5], np.linspace(2.0, -2.0, m - 2)])
+        a = (q * s) @ q.T
+        a, part, norm = (a + a.T) / 2.0, None, 3.0
+    else:
+        p = np.linalg.qr(rng.standard_normal((n, m)))[0]
+        s = np.concatenate([[9.0, 7.0, 3.0], np.linspace(2.0, 0.0, m - 3)])
+        a = (q * s) @ p.T
+        # With the leading two triplets as the part, s_3 = 3 is the norm left.
+        part = (q[:, :2] * s[:2]) @ p[:, :2].T if case == "part" else None
+        norm = 3.0 if case == "part" else 9.0
+    inputs = [x.copy() for x in (a, part) if x is not None]
+    assert _norm_below(a, part, norm * scale) == (scale > 1.0)
+    # A negative c has the same square but bounds nothing.
+    assert not _norm_below(a, part, -2.0 * norm)
+    assert all(np.array_equal(x, y) for x, y in zip(inputs, (a, part)))
 
 
 def spectrum_input(shape, leading, bulk, seed):

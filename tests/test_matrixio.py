@@ -99,7 +99,9 @@ def test_written_text_pinned(tmp_path):
 
 def _reference_read(path, header=False):
     """The field-by-field reader that the one-pass reader replaced, kept as
-    the reference that it must match: same arrays, or the same error."""
+    the reference that it must match: same arrays, or the same error. One
+    rule is added to it: a field holding ``_`` or a non-ASCII character
+    (left unstripped) is not a number, though ``float`` would take it."""
     rows = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -112,7 +114,7 @@ def _reference_read(path, header=False):
         raise MatrixFormatError("no matrix rows found")
     for offset, line in enumerate(data_lines):
         lineno = start + offset
-        fields = [f.strip() for f in line.split(",")]
+        fields = [f.strip() if f.isascii() else f for f in line.split(",")]
         if fields == [""]:
             raise MatrixFormatError("blank row", line=lineno)
         if width is None:
@@ -129,6 +131,8 @@ def _reference_read(path, header=False):
                 row_mask.append(False)
             else:
                 try:
+                    if "_" in field or not field.isascii():
+                        raise ValueError(field)
                     value = float(field)
                 except ValueError:
                     raise MatrixFormatError(
@@ -159,7 +163,7 @@ _PAD = st.sampled_from(["", "", " ", "\t", " \t "])
 _NUMBER = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10**20, 10**20).map(str),
-    st.sampled_from(["1_0", "-0", "+.5", "1e-3", "2.5E+2", "-0.0"]),
+    st.sampled_from(["1_0", "-0", "+.5", "1e-3", "2.5E+2", "-0.0", "\u0661\u0662"]),
 )
 _FAULTS = st.one_of(
     st.none(),
@@ -207,6 +211,24 @@ def test_reader_matches_reference(tmp_path_factory, case):
     path.write_bytes(text.encode("utf-8"))
     assert (_outcome(read_matrix_csv, path, header)
             == _outcome(_reference_read, path, header))
+
+
+@pytest.mark.parametrize("row, field", [
+    ("1_0,2", "1_0"),
+    ("2,1e1_0", "1e1_0"),
+    ("\u0661\u0662,2", "\u0661\u0662"),
+    ("1,\uff13", "\uff13"),
+    ("\u00a0NA,2", "\u00a0NA"),
+    ("1, 2\u2003", " 2\u2003"),
+])
+def test_underscore_and_non_ascii_are_not_numbers(tmp_path, row, field):
+    # float() takes each of these fields as a number or strips the space.
+    path = tmp_path / "m.csv"
+    path.write_text(f"1,2\n{row}\n3,4\n", encoding="utf-8")
+    with pytest.raises(MatrixFormatError) as err:
+        read_matrix_csv(path)
+    assert err.value.line == 2
+    assert str(err.value) == f"line 2: not a number or 'NA': {field!r}"
 
 
 @pytest.mark.parametrize("text, header", [
