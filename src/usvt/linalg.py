@@ -143,7 +143,7 @@ def thresholded_part(a, cut: float, symmetric: bool = False) -> tuple[np.ndarray
     basis and again on all of it), when a Ritz value lies within the margin
     of the cut, when the largest residual ``||a v - s u||`` of the kept
     Ritz pairs exceeds 1e-10 times the distance of the smallest kept value
-    from the cut, when the basis has lost orthonormality, or when a
+    from the cut, when the basis has lost orthonormality, or when the
     Cholesky factorization fails. A near-tie therefore costs time and never
     changes the answer.
     """
