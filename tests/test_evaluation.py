@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import usvt
-from usvt.errors import ValidationError
 import usvt.evaluation as evaluation_module
+from usvt.errors import ValidationError
 from usvt.evaluation import (
     ENTRY_DISTRIBUTIONS,
     bradley_terry_bracket,
