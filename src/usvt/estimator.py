@@ -223,22 +223,31 @@ def usvt_estimate(data: MaskedMatrix, config: EstimatorConfig) -> EstimateReport
     Pipeline: map values affinely from the declared interval onto [-1, 1];
     zero-fill unobserved entries; keep the part of the spectrum at or
     above ``threshold_value`` with n = the larger dimension
-    (:func:`usvt.linalg.thresholded_part`, through the eigendecomposition
-    in ``SYMMETRIC`` mode); rescale that part by ``1 / p_hat``; clip to
-    [-1, 1]; map back and clamp exactly to the interval.
+    (:func:`usvt.linalg.thresholded_part`: block Krylov iteration on large
+    inputs, else the eigendecomposition in ``SYMMETRIC`` mode, ``eigh`` of
+    the Gram matrix on mid-size general inputs and the SVD on small ones);
+    rescale that part by ``1 / p_hat``; clip to [-1, 1]; map back and
+    clamp exactly to the interval.
 
     With no observations at all (p_hat = 0) the midpoint matrix is
     returned with an empty retained set, threshold 0 and ``no_data`` set:
     the zero-information answer rather than an error, so sweeps over small
     observation probabilities stay total.
     """
+    return _usvt_and_baseline(data, config, baseline=False)[0]
+
+
+def _usvt_and_baseline(data: MaskedMatrix, config: EstimatorConfig, baseline: bool):
+    """``(usvt_estimate(data, config), trivial)``, where ``trivial`` is
+    ``trivial_estimate(data, config.interval)`` when ``baseline`` is set and
+    None otherwise; both from one validation and one zero-filled matrix."""
     if config.mode is not data.mode:
         raise ValidationError(
             f"config mode {config.mode.value!r} does not match data mode {data.mode.value!r}"
         )
     lo, hi, p_hat, y = _normalise(data, config.interval)
     if y is None:
-        return EstimateReport(
+        report = EstimateReport(
             estimate=np.full(data.shape, (lo + hi) / 2.0),
             p_hat=0.0,
             q_hat=None,
@@ -246,17 +255,20 @@ def usvt_estimate(data: MaskedMatrix, config: EstimatorConfig) -> EstimateReport
             retained_rank=0,
             no_data=True,
         )
+        return report, (report.estimate.copy() if baseline else None)
 
     thr = threshold_value(max(y.shape), p_hat, config.eta, config.sigma_sq)
     q_hat = None if config.sigma_sq is None else _variance_rate(p_hat, config.sigma_sq)
     part, k = thresholded_part(y, thr, symmetric=data.mode is SymmetryMode.SYMMETRIC)
-    return EstimateReport(
+    report = EstimateReport(
         estimate=_restore(part, p_hat, lo, hi),
         p_hat=p_hat,
         q_hat=q_hat,
         threshold=thr,
         retained_rank=k,
     )
+    # The cut does not write y, so the baseline is restored in its buffer.
+    return report, (_restore(y, p_hat, lo, hi) if baseline else None)
 
 
 def trivial_estimate(data: MaskedMatrix, interval=None) -> np.ndarray:

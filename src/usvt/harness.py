@@ -32,7 +32,7 @@ from .estimator import (
     EstimatorConfig,
     MaskedMatrix,
     SymmetryMode,
-    trivial_estimate,
+    _usvt_and_baseline,
     usvt_estimate,
 )
 from .evaluation import (
@@ -392,11 +392,11 @@ def _run_cell(spec: ExperimentSpec, i: int, j: int) -> CellResult:
             config = EstimatorConfig(
                 eta=spec.eta, sigma_sq=spec.sigma_sq, interval=interval, mode=data.mode
             )
-            report = usvt_estimate(data, config)
+            report, baseline = _usvt_and_baseline(data, config, spec.baseline_trivial)
             mses.append(mse(report.estimate, truth))
             ranks.append(report.retained_rank)
-            if spec.baseline_trivial:
-                trivial.append(mse(trivial_estimate(data, interval), truth))
+            if baseline is not None:
+                trivial.append(mse(baseline, truth))
     except (ValidationError, np.linalg.LinAlgError) as exc:
         return CellResult(
             n=n, p=p, mean_mse=None, std_mse=None, mean_retained_rank=None,

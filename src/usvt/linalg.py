@@ -4,6 +4,12 @@ Matrices are plain 2-D float64 ``numpy.ndarray`` objects; :func:`as_matrix`
 is the single entry point that coerces and validates them (finite entries,
 positive dimensions). Factorizations come from LAPACK via ``numpy.linalg``,
 which is deterministic for a fixed input.
+
+:func:`thresholded_part`, the spectral cut of the estimator, keeps only the
+singular triplets at or above a cut. It computes them by block Krylov
+iteration on large inputs, by ``eigh`` of the Gram matrix ``a a^T`` on
+mid-size general ones, and falls back to the full ``svd`` or ``eigh``
+wherever neither can certify its result.
 """
 
 from __future__ import annotations
@@ -31,8 +37,14 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-10
 
 #: Smallest ``min(m, n)`` at which :func:`thresholded_part` tries the partial
-#: path; below it the full decomposition costs about as much.
+#: path on a symmetric input; below it ``eigh`` costs about as much.
 _PARTIAL_MIN_DIM = 500
+#: Smallest ``min(m, n)`` at which a general input takes the Gram route, and
+#: at which it tries the partial path first. Below the first the SVD costs
+#: about as much (and every smaller input keeps the SVD's bytes); below the
+#: second ``eigh`` of the Gram matrix is faster than the partial path.
+_GRAM_MIN_DIM = 64
+_GENERAL_PARTIAL_MIN_DIM = 1000
 #: Columns added to the Krylov basis per step; more than half of them at or
 #: above the cut saturates the block.
 _BLOCK = 10
@@ -118,19 +130,26 @@ def thresholded_part(a, cut: float, symmetric: bool = False) -> tuple[np.ndarray
     part then comes from its eigendecomposition (singular values are
     |eigenvalues|), several times faster than :func:`svd` and structurally
     symmetric. An ``a`` with more rows than columns is cut as its
-    transpose and the part transposed back, so either path below sees
+    transpose and the part transposed back, so every path below sees
     ``m <= n`` rows and columns.
 
-    Two paths give the same ``k`` and the same part up to rounding:
+    Three paths give the same ``k`` and the same part up to rounding:
 
-    - *Partial*, tried when ``min(a.shape) >= 500``. Block Krylov
-      iteration (on ``a a^T`` from ``a G``, or on ``a`` from ``G`` when
-      symmetric) builds an orthonormal basis of up to 210 columns, and
-      Rayleigh-Ritz on it gives the Ritz triplets whose values reach the
-      cut. ``G`` is Gaussian, drawn from ``make_rng(mix_seed(m, n))``, so
-      the same input always gives the same bytes.
-    - *Full*: :func:`svd`, or ``numpy.linalg.eigh`` when symmetric, below
-      that size and wherever the partial path cannot certify its result.
+    - *Partial*, tried when ``m >= 500`` (symmetric) or ``m >= 1000``
+      (general). Block Krylov iteration (on ``a a^T`` from ``a G``, or on
+      ``a`` from ``G`` when symmetric) builds an orthonormal basis of up
+      to 210 columns, and Rayleigh-Ritz on it gives the Ritz triplets whose
+      values reach the cut. ``G`` is Gaussian, drawn from
+      ``make_rng(mix_seed(m, n))``, so the same input always gives the
+      same bytes.
+    - *Gram*, for a general ``a`` with ``m >= 64`` that the partial path
+      did not take or could not certify: ``numpy.linalg.eigh`` of the
+      m x m Gram matrix ``a a^T``, whose eigenvalues ``lam_i`` are the
+      ``s_i^2``; the part is ``U_k (U_k^T a)`` over the eigenvectors with
+      ``lam_i >= cut^2``, and ``s_i = sqrt(lam_i)``.
+    - *Full*: :func:`svd`, or ``numpy.linalg.eigh`` when symmetric, for
+      smaller inputs and wherever the other paths cannot certify their
+      result.
 
     A partial result is returned only when it is certified. Its ``k`` Ritz
     values reach the cut, and Ritz values are lower bounds (interlacing), so
@@ -138,20 +157,34 @@ def thresholded_part(a, cut: float, symmetric: bool = False) -> tuple[np.ndarray
     for any rank-``k`` part, decided by one Cholesky factorization of
     ``c^2 I - R R^T`` for ``R = a - part``, symmetric or not, and the cut
     ``c`` shrunk by a relative margin of 1e-6.
-    The full path runs instead when more than 5 Ritz values reach the cut
+    The next path runs instead when more than 5 Ritz values reach the cut
     (the block of 10 is saturated; tested on the first two blocks of the
     basis and again on all of it), when a Ritz value lies within the margin
     of the cut, when the largest residual ``||a v - s u||`` of the kept
     Ritz pairs exceeds 1e-10 times the distance of the smallest kept value
     from the cut, when the basis has lost orthonormality, or when the
-    Cholesky factorization fails. A near-tie therefore costs time and never
-    changes the answer.
+    Cholesky factorization fails.
+
+    A Gram result needs no certificate: ``eigh`` bounds every eigenvalue
+    from both sides. Forming ``a a^T`` and diagonalising it move each
+    ``lam_i`` by at most ``2 (m + n) u ||a||_F^2`` (``u = 2^-53``), so ``k``
+    is set only when every ``|lam_i - cut^2|`` exceeds that bound and every
+    ``sqrt(lam_i)`` lies outside the 1e-6 margin of the cut. The result is
+    returned only when, as on the partial path, every kept triplet has
+    ``||a v - s u|| <= 1e-10 (s_k - cut)`` with ``v = a^T u / s``; an
+    ill-conditioned ``a`` (``s_1 / cut`` near 1e5) fails it. Otherwise the
+    SVD runs. A near-tie therefore costs time and never changes the answer.
     """
     a = as_matrix(a)
     tall = a.shape[0] > a.shape[1]
     if tall:
         a = a.T
-    found = _partial_part(a, cut, symmetric) if a.shape[0] >= _PARTIAL_MIN_DIM else None
+    m = a.shape[0]
+    found = None
+    if m >= (_PARTIAL_MIN_DIM if symmetric else _GENERAL_PARTIAL_MIN_DIM):
+        found = _partial_part(a, cut, symmetric)
+    if found is None and not symmetric and m >= _GRAM_MIN_DIM:
+        found = _gram_part(a, cut)
     if found is not None:
         part, k = found
     elif symmetric:
@@ -218,6 +251,38 @@ def _partial_part(a: np.ndarray, cut: float, symmetric: bool):
     if not _norm_below(a, part, cut * (1.0 - _MARGIN)):
         return None
     return part, k
+
+
+def _gram_part(a: np.ndarray, cut: float):
+    """The Gram route of :func:`thresholded_part` for a general ``a`` with no
+    more rows than columns: ``(part, k)`` from ``eigh`` of ``a a^T``, or
+    ``None`` where the SVD must run."""
+    m, n = a.shape
+    g = a @ a.T
+    # Each entry of the computed G is a dot product of length n, so G errs
+    # by at most gamma_n |a| |a|^T entrywise, at most gamma_n ||a||_F^2 in
+    # norm (gamma_n = n u / (1 - n u), u = 2^-53). LAPACK's eigh returns the
+    # exact eigenvalues of G + F with ||F|| <= p(m) u ||G||, p(m) a modestly
+    # growing function of m taken here as m, and ||G|| <= tr(G) = ||a||_F^2.
+    # By Weyl each computed eigenvalue therefore lies within
+    # (n + m) u ||a||_F^2 (1 + O(n u)) of s_i^2; the factor 2 covers the
+    # higher-order terms and the rounding of the trace itself.
+    err = 2.0 * (m + n) * (np.finfo(float).eps / 2.0) * float(np.trace(g))
+    lam, q = np.linalg.eigh(g)
+    del g
+    near = np.abs(np.sqrt(np.maximum(lam, 0.0)) - cut) <= _MARGIN * cut
+    if not cut > 0 or near.any() or (np.abs(lam - cut * cut) <= err).any():
+        return None
+    keep = lam >= cut * cut
+    k = int(keep.sum())
+    u = q[:, keep]
+    w = u.T @ a
+    # Rows of w are s_i v_i^T, so a v_i - s_i u_i = (a w_i - lam_i u_i) / s_i.
+    s = np.sqrt(lam[keep])
+    residual = (a @ w.T - u * lam[keep]) / s
+    if k and not (np.linalg.norm(residual, axis=0).max() <= _RESIDUAL * (s.min() - cut)):
+        return None
+    return u @ w, k
 
 
 def _ritz(q: np.ndarray, w: np.ndarray, symmetric: bool):

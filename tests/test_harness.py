@@ -162,15 +162,16 @@ class TestRunExperiment:
 
     def test_only_validation_and_numerical_errors_recorded(self, monkeypatch):
         def raising(exc):
-            def estimate(data, config):
+            def estimate(data, config, baseline):
                 raise exc
             return estimate
 
+        # Each trial computes its estimate and baseline in one call.
         spec = ExperimentSpec(model=ModelSpec("zero"), n_grid=(8,), p_grid=(1.0,))
-        monkeypatch.setattr("usvt.harness.usvt_estimate",
+        monkeypatch.setattr("usvt.harness._usvt_and_baseline",
                             raising(np.linalg.LinAlgError("SVD did not converge")))
         assert run_experiment(spec).cells[0].failure == "LinAlgError: SVD did not converge"
-        monkeypatch.setattr("usvt.harness.usvt_estimate", raising(RuntimeError("a bug")))
+        monkeypatch.setattr("usvt.harness._usvt_and_baseline", raising(RuntimeError("a bug")))
         with pytest.raises(RuntimeError, match="a bug"):
             run_experiment(spec)
 

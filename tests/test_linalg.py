@@ -4,6 +4,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import usvt.linalg as linalg_module
 from usvt.errors import ValidationError
+from usvt.estimator import SymmetryMode
+from usvt.generators import bernoulli_mask, bernoulli_round, gen_low_rank
 from usvt.linalg import (
     _norm_below,
     as_matrix,
@@ -239,7 +241,7 @@ def test_thresholded_part_validates_symmetric_input(bad):
 
 @pytest.mark.parametrize("m, n", [(60, 45), (540, 500)])
 def test_thresholded_part_cuts_a_tall_input_as_its_transpose(m, n):
-    # 540 x 500 takes the partial path; 60 x 45 the full SVD.
+    # 540 x 500 takes the Gram route; 60 x 45 the full SVD.
     rng = make_rng(m)
     a = rng.uniform(-1, 1, (m, 3)) @ rng.uniform(-1, 1, (3, n)) + 0.1 * rng.uniform(-1, 1, (m, n))
     s = np.linalg.svd(a, compute_uv=False)
@@ -250,7 +252,8 @@ def test_thresholded_part_cuts_a_tall_input_as_its_transpose(m, n):
     assert wide_part.T.tobytes() == part.tobytes()
 
 
-#: Shapes at the size where ``thresholded_part`` starts trying its partial path.
+#: Shapes at the size where ``thresholded_part`` starts trying its partial
+#: path on a symmetric input; a general one takes the Gram route there.
 LARGE = {"tall": (540, 500), "wide": (500, 540), "square": (500, 500), "symmetric": (500, 500)}
 
 
@@ -305,31 +308,32 @@ def test_norm_below_decides_exact_spectra(case, scale):
     assert all(np.array_equal(x, y) for x, y in zip(inputs, (a, part)))
 
 
-def spectrum_input(shape, leading, bulk, seed):
-    """``(a, part)``: a matrix of ``LARGE[shape]`` whose singular values are
+def spectrum_input(dims, leading, bulk, seed, symmetric=False):
+    """``(a, part)``: an ``m x n`` matrix whose singular values are
     ``leading`` followed by a bulk spread evenly over [0, ``bulk``]
     (eigenvalues of alternating sign when symmetric), and the part of it
     that ``leading`` makes up."""
     rng = make_rng(seed)
-    m, n = LARGE[shape]
+    m, n = dims
     k, size = len(leading), min(m, n)
     values = np.concatenate([leading, np.linspace(bulk, 0.0, size - k)])
     u = np.linalg.qr(rng.standard_normal((m, size)))[0]
-    if shape == "symmetric":
+    if symmetric:
         v = u
         values = values * (-1.0) ** np.arange(size)
     else:
         v = np.linalg.qr(rng.standard_normal((n, size)))[0]
     a = (u * values) @ v.T
     part = (u[:, :k] * values[:k]) @ v[:, :k].T
-    return ((a + a.T) / 2.0 if shape == "symmetric" else a), part
+    return ((a + a.T) / 2.0 if symmetric else a), part
 
 
 @pytest.fixture
 def full_decompositions(monkeypatch):
     """The full decompositions ``thresholded_part`` runs, as a list of
     names: ``usvt.linalg.svd`` calls and ``eigh`` calls on a matrix of 500
-    rows or more (the partial path's own ``eigh`` is of a small matrix)."""
+    rows or more (the partial path's own ``eigh`` is of a small matrix). On
+    a general input such an ``eigh`` is the Gram route's, of ``a a^T``."""
     calls = []
     full_svd, full_eigh = linalg_module.svd, np.linalg.eigh
 
@@ -368,7 +372,7 @@ SPECTRA = {
 ])
 def test_thresholded_part_partial_path_or_full(case, shape, monkeypatch, full_decompositions):
     leading, bulk = SPECTRA.get(case, SPECTRA["gap"])
-    a, expected = spectrum_input(shape, leading, bulk, seed=11)
+    a, expected = spectrum_input(LARGE[shape], leading, bulk, seed=11, symmetric=shape == "symmetric")
     if case == "certificate fails":
         def cholesky_fails(x):
             raise np.linalg.LinAlgError("injected")
@@ -377,5 +381,84 @@ def test_thresholded_part_partial_path_or_full(case, shape, monkeypatch, full_de
     assert k == len(leading)
     assert np.abs(part - expected).max() <= 1e-10
     assert np.array_equal(thresholded_part(a, 5.0, symmetric=shape == "symmetric")[0], part)
-    # Only a clear gap with a working certificate skips the full path.
-    assert len(full_decompositions) == (0 if case == "gap" else 2)
+    # A symmetric input of 500 rows tries the partial path: only a clear gap
+    # with a working certificate skips the full eigh. A general one takes
+    # the Gram route, which needs no certificate and no block: only the
+    # near-tie sends it on to the SVD.
+    if shape == "symmetric":
+        route = [] if case == "gap" else ["eigh"]
+    else:
+        route = ["eigh", "svd"] if case == "near-tie" else ["eigh"]
+    assert full_decompositions == route * 2
+
+
+@pytest.mark.parametrize("m, n", [(70, 130), (450, 120), (300, 300)], ids=["wide", "tall", "square"])
+def test_gram_route_matches_svd_oracle(m, n, full_decompositions):
+    # Between 64 and 1000 rows a general input takes the Gram route.
+    rng = make_rng(m + n)
+    a = rng.uniform(-1, 1, (m, 4)) @ rng.uniform(-1, 1, (4, n)) + 0.2 * rng.uniform(-1, 1, (m, n))
+    s = np.linalg.svd(a, compute_uv=False)
+    cut = (s[2] + s[3]) / 2.0
+    part, k = thresholded_part(a, cut)
+    expected, expected_k = svd_oracle_part(a, cut)
+    assert k == expected_k == 3
+    assert np.abs(part - expected).max() <= 1e-10
+    assert thresholded_part(a, cut)[0].tobytes() == part.tobytes()
+    assert "svd" not in full_decompositions
+
+
+def test_gram_route_on_weak_signal(full_decompositions):
+    # A rank-3 truth seen through sign noise at n = 800 and p = 0.2, cut as
+    # the estimator cuts it: the sweep's weakest large cell, where the
+    # largest singular values lie a few percent from the cut.
+    n, asym = 800, SymmetryMode.ASYMMETRIC
+    truth = gen_low_rank(n, n, 3, 5)
+    signs = 2.0 * bernoulli_round((truth + 1.0) / 2.0, asym, 6) - 1.0
+    mask = bernoulli_mask(n, n, 0.2, asym, 7)
+    y = np.where(mask, signs, 0.0)
+    cut = 2.01 * np.sqrt(n * mask.mean())
+    part, k = thresholded_part(y, cut)
+    expected, expected_k = svd_oracle_part(y, cut)
+    assert k == expected_k >= 1
+    assert np.abs(part - expected).max() <= 1e-10
+    assert full_decompositions == ["eigh"]
+
+
+@pytest.mark.parametrize("leading", [
+    [30.0, 20.0, 5.0 + 1e-9], [30.0, 20.0, 10.0, 5.0 - 1e-9], [5e5, 20.0, 10.0],
+], ids=["near-tie-kept", "near-tie-dropped", "ill-conditioned"])
+def test_gram_route_falls_back_to_svd(leading, full_decompositions):
+    # A singular value within 1e-9 of the cut of 5, kept or dropped, or
+    # s_1 / cut = 1e5, whose Gram eigenvectors miss the residual rule: the
+    # SVD decides.
+    a = spectrum_input((120, 200), leading, 0.9, seed=13)[0]
+    part, k = thresholded_part(a, 5.0)
+    expected, expected_k = svd_oracle_part(a, 5.0)
+    assert k == expected_k == 3
+    assert full_decompositions == ["svd"]
+    assert np.array_equal(part, expected)
+
+
+@pytest.mark.parametrize("case", ["gap", "slow", "certificate fails"])
+def test_general_partial_path_falls_back_to_gram_route(case, monkeypatch, full_decompositions):
+    # From 1000 rows a general input tries the partial path first; when it
+    # cannot certify, the Gram route runs, not the SVD.
+    leading, bulk = SPECTRA[case if case != "certificate fails" else "gap"]
+    a, expected = spectrum_input((1000, 1040), leading, bulk, seed=17)
+    partial, tried = linalg_module._partial_part, []
+
+    def partial_spy(*args):
+        found = partial(*args)
+        tried.append(found is not None)
+        return found
+
+    monkeypatch.setattr(linalg_module, "_partial_part", partial_spy)
+    if case == "certificate fails":
+        def cholesky_fails(x):
+            raise np.linalg.LinAlgError("injected")
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky_fails)
+    part, k = thresholded_part(a, 5.0)
+    assert k == 3
+    assert np.abs(part - expected).max() <= 1e-10
+    assert tried == [case == "gap"]
+    assert full_decompositions == ([] if case == "gap" else ["eigh"])
