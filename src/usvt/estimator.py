@@ -223,9 +223,9 @@ def usvt_estimate(data: MaskedMatrix, config: EstimatorConfig) -> EstimateReport
     Pipeline: map values affinely from the declared interval onto [-1, 1];
     zero-fill unobserved entries; keep the part of the spectrum at or
     above ``threshold_value`` with n = the larger dimension
-    (:func:`usvt.linalg.thresholded_part`: block Krylov iteration on large
-    inputs, else the eigendecomposition in ``SYMMETRIC`` mode, ``eigh`` of
-    the Gram matrix on mid-size general inputs and the SVD on small ones);
+    (:func:`usvt.linalg.thresholded_part`: eigenpairs of the Gram matrix,
+    by block Krylov iteration on large inputs or ``eigh`` on general ones,
+    else the eigendecomposition in ``SYMMETRIC`` mode or the SVD);
     rescale that part by ``1 / p_hat``; clip to [-1, 1]; map back and
     clamp exactly to the interval.
 

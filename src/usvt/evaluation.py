@@ -145,7 +145,7 @@ def spectral_concentration_trial(n: int, dist: str, eta: float, trials: int, see
     ``sigma^2 >= n^{-0.9}``, the regime in which the exceedance
     probability is exponentially small.
 
-    A trial is a hit if one Cholesky factorization of ``c^2 I - A^2``
+    A trial is a hit if one Cholesky factorization of ``c^2 I - A A^T``
     completes for the bound ``c`` shrunk by ``usvt.linalg._MARGIN``, far more
     than ``eigvalsh`` errs; otherwise ``max |eigvalsh(A)| <= bound`` decides.
     Either way the fraction is that of ``eigvalsh`` alone.
@@ -160,7 +160,7 @@ def spectral_concentration_trial(n: int, dist: str, eta: float, trials: int, see
     for t in range(trials):
         rng = make_rng(mix_seed(seed, t))
         a = sample_upper(n, lambda i, j: sampler(rng, i.size))
-        hits += (_norm_below(a, None, bound * (1.0 - _MARGIN))
+        hits += (_norm_below(a @ a.T, bound * (1.0 - _MARGIN))
                  or float(np.abs(np.linalg.eigvalsh(a)).max()) <= bound)
     return hits / trials
 

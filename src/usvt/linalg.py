@@ -6,10 +6,10 @@ positive dimensions). Factorizations come from LAPACK via ``numpy.linalg``,
 which is deterministic for a fixed input.
 
 :func:`thresholded_part`, the spectral cut of the estimator, keeps only the
-singular triplets at or above a cut. It computes them by block Krylov
-iteration on large inputs, by ``eigh`` of the Gram matrix ``a a^T`` on
-mid-size general ones, and falls back to the full ``svd`` or ``eigh``
-wherever neither can certify its result.
+singular triplets at or above a cut. On all but small inputs it finds them
+as eigenpairs of the Gram matrix ``a a^T``: by block Krylov iteration on
+large inputs, by ``eigh`` on general ones, and it falls back to the full
+``svd`` or ``eigh`` wherever neither can certify its result.
 """
 
 from __future__ import annotations
@@ -36,13 +36,14 @@ __all__ = [
 #: values count as zero; the double-precision noise floor at desk scale.
 DEFAULT_RANK_TOL = 1e-10
 
-#: Smallest ``min(m, n)`` at which :func:`thresholded_part` tries the partial
-#: path on a symmetric input; below it ``eigh`` costs about as much.
+#: Smallest ``min(m, n)`` at which :func:`thresholded_part` tries the Krylov
+#: route on a symmetric input; below it ``eigh`` costs about as much.
 _PARTIAL_MIN_DIM = 500
-#: Smallest ``min(m, n)`` at which a general input takes the Gram route, and
-#: at which it tries the partial path first. Below the first the SVD costs
-#: about as much (and every smaller input keeps the SVD's bytes); below the
-#: second ``eigh`` of the Gram matrix is faster than the partial path.
+#: Smallest ``min(m, n)`` at which a general input is cut through its Gram
+#: matrix, and at which it tries the Krylov route first. Below the first the
+#: SVD costs about as much (and every smaller input keeps the SVD's bytes);
+#: below the second ``eigh`` of the Gram matrix is faster than the Krylov
+#: route.
 _GRAM_MIN_DIM = 64
 _GENERAL_PARTIAL_MIN_DIM = 1000
 #: Columns added to the Krylov basis per step; more than half of them at or
@@ -52,20 +53,22 @@ _BLOCK = 10
 _STEPS = 20
 #: Blocks in the basis at the first Rayleigh-Ritz, which tests saturation.
 _FIRST_RITZ = 2
-#: Relative distance from the cut within which a Ritz value is a near-tie.
-#: The certificate also shrinks the cut ``c`` by it, to cover rounding. A
-#: Cholesky factorization of an m x m matrix that completes in floating
-#: point proves it definite up to a shift of about (m+1) u tr (Rump, BIT 46,
-#: 2006; u = 2^-53). For ``c^2 I - R R^T`` with m <= n rows the trace is at
-#: most m c^2, so the shift moves the proved bound on ||R|| by m^2 u / 2
-#: relative. Forming ``R R^T`` errs by at most n m u ||R||^2 in norm, which
-#: moves ||R|| by n m u / 2 relative; forming ``R`` and the rank-k part
-#: moves it by a few u times ||R|| and s_1, about 1e-9 c at most while
-#: s_1 / c < 1e6. The margin covers the sum for every shape, a symmetric
-#: ``R`` included, with n up to about 95,000.
+#: Relative distance from the cut within which the square root of a Ritz
+#: value or eigenvalue of ``G = a a^T`` is a near-tie. The certificate
+#: shrinks the cut ``c`` by it too, so ``cut^2 - c^2`` (about 2e-6 cut^2)
+#: covers rounding (u = 2^-53). Forming ``G`` errs by gamma_n ||a||_F^2 in
+#: norm, half the Gram route's ``err``; forming ``P G P`` from it, by about
+#: as much again. The Krylov route is refused where ``err`` exceeds
+#: ``_MARGIN cut^2 / 2``, so the two take at most 0.75e-6 cut^2. A Cholesky
+#: factorization that completes in floating point proves an m x m matrix
+#: definite up to a shift of about (m + 1) u tr (Rump, BIT 46, 2006), here
+#: (m + 1) m u c^2: below the remaining 1.2e-6 cut^2 for m up to about
+#: 100,000. The concentration trial's ``c^2 I - A A^T`` (n x n) spends about
+#: n^2 u c^2 on each of forming and the shift: n up to about 95,000.
 _MARGIN = 1e-6
-#: Largest accepted residual of the kept Ritz pairs, as a fraction of the
-#: distance of the smallest kept Ritz value from the cut.
+#: Largest accepted residual ``||a v - s u||`` of the kept triplets, as a
+#: fraction of the distance of the smallest kept singular value from the
+#: cut.
 _RESIDUAL = 1e-10
 
 
@@ -127,136 +130,87 @@ def thresholded_part(a, cut: float, symmetric: bool = False) -> tuple[np.ndarray
 
     ``a`` is checked as by :func:`as_matrix`, finite entries included.
     ``symmetric`` asserts, unchecked, that ``a`` is exactly symmetric: the
-    part then comes from its eigendecomposition (singular values are
+    part then comes from its eigenvectors (singular values are
     |eigenvalues|), several times faster than :func:`svd` and structurally
     symmetric. An ``a`` with more rows than columns is cut as its
-    transpose and the part transposed back, so every path below sees
+    transpose and the part transposed back, so every route below sees
     ``m <= n`` rows and columns.
 
-    Three paths give the same ``k`` and the same part up to rounding:
+    From ``m >= 500`` (symmetric) or ``m >= 64`` (general) the triplets come
+    from the Gram matrix ``G = a a^T``, formed once: its eigenpairs
+    ``(lam_i, u_i)`` with ``lam_i >= cut^2`` give ``s_i = sqrt(lam_i)`` and
+    the part ``U (U^T a)``, or ``U sym(U^T a U) U^T`` when symmetric. Three
+    routes give the same ``k`` and the same part up to rounding:
 
-    - *Partial*, tried when ``m >= 500`` (symmetric) or ``m >= 1000``
-      (general). Block Krylov iteration (on ``a a^T`` from ``a G``, or on
-      ``a`` from ``G`` when symmetric) builds an orthonormal basis of up
-      to 210 columns, and Rayleigh-Ritz on it gives the Ritz triplets whose
-      values reach the cut. ``G`` is Gaussian, drawn from
-      ``make_rng(mix_seed(m, n))``, so the same input always gives the
-      same bytes.
-    - *Gram*, for a general ``a`` with ``m >= 64`` that the partial path
-      did not take or could not certify: ``numpy.linalg.eigh`` of the
-      m x m Gram matrix ``a a^T``, whose eigenvalues ``lam_i`` are the
-      ``s_i^2``; the part is ``U_k (U_k^T a)`` over the eigenvectors with
-      ``lam_i >= cut^2``, and ``s_i = sqrt(lam_i)``.
-    - *Full*: :func:`svd`, or ``numpy.linalg.eigh`` when symmetric, for
-      smaller inputs and wherever the other paths cannot certify their
-      result.
+    - *Krylov*, tried from ``m >= 500`` (symmetric) or ``m >= 1000``
+      (general): block Krylov iteration on ``G`` from a Gaussian start drawn
+      from ``make_rng(mix_seed(m, n))`` (so the same input always gives the
+      same bytes) builds an orthonormal basis of up to 210 columns, and
+      Rayleigh-Ritz on it gives the Ritz pairs whose values reach ``cut^2``.
+    - *Gram*, for a general ``a`` that the Krylov route did not take or
+      certify: ``numpy.linalg.eigh`` of ``G``.
+    - *Full*: :func:`svd`, or ``numpy.linalg.eigh`` of ``a`` when symmetric
+      (never the Gram route), for smaller inputs and wherever the other
+      routes cannot certify their result.
 
-    A partial result is returned only when it is certified. Its ``k`` Ritz
-    values reach the cut, and Ritz values are lower bounds (interlacing), so
-    ``s_k >= cut``. And ``||a - part|| < cut``, which bounds ``s_{k+1}``
-    for any rank-``k`` part, decided by one Cholesky factorization of
-    ``c^2 I - R R^T`` for ``R = a - part``, symmetric or not, and the cut
-    ``c`` shrunk by a relative margin of 1e-6.
-    The next path runs instead when more than 5 Ritz values reach the cut
-    (the block of 10 is saturated; tested on the first two blocks of the
-    basis and again on all of it), when a Ritz value lies within the margin
-    of the cut, when the largest residual ``||a v - s u||`` of the kept
-    Ritz pairs exceeds 1e-10 times the distance of the smallest kept value
-    from the cut, when the basis has lost orthonormality, or when the
-    Cholesky factorization fails.
-
-    A Gram result needs no certificate: ``eigh`` bounds every eigenvalue
-    from both sides. Forming ``a a^T`` and diagonalising it move each
-    ``lam_i`` by at most ``2 (m + n) u ||a||_F^2`` (``u = 2^-53``), so ``k``
-    is set only when every ``|lam_i - cut^2|`` exceeds that bound and every
-    ``sqrt(lam_i)`` lies outside the 1e-6 margin of the cut. The result is
-    returned only when, as on the partial path, every kept triplet has
+    One rule accepts the pairs of both the Krylov and the Gram routes.
+    Forming ``G`` and diagonalising it move each ``lam_i`` by at most
+    ``err = 2 (m + n) u ||a||_F^2`` (``u = 2^-53``), so ``k`` is set only
+    when ``cut > 0``, every ``|lam_i - cut^2|`` exceeds ``err`` and every
+    ``sqrt(lam_i)`` lies outside a relative margin of 1e-6 around the cut.
+    The pairs are kept only when every kept triplet has
     ``||a v - s u|| <= 1e-10 (s_k - cut)`` with ``v = a^T u / s``; an
-    ill-conditioned ``a`` (``s_1 / cut`` near 1e5) fails it. Otherwise the
-    SVD runs. A near-tie therefore costs time and never changes the answer.
+    ill-conditioned ``a`` (``s_1 / cut`` near 1e5) fails it.
+
+    A Gram result needs nothing more: ``eigh`` bounds every eigenvalue from
+    both sides. A Krylov result is returned only when it is certified. Its
+    ``k`` Ritz values reach ``cut^2``, and Ritz values are lower bounds
+    (interlacing), so ``s_k >= cut``. And ``s_{k+1}^2 <= lam_max(P G P)``
+    for ``P = I - U U^T`` and any ``U`` (Courant-Fischer: ``P x = x`` for
+    every ``x`` orthogonal to ``U``), which one Cholesky factorization of
+    ``c^2 I - P G P`` bounds below ``c^2``, the cut ``c`` shrunk by the
+    margin. The next route runs instead when ``err`` exceeds
+    ``5e-7 cut^2``, past which the margin cannot cover rounding; when more
+    than 5 Ritz values reach the cut (the block of 10 is saturated; tested
+    on the first two blocks of the basis and again on all of it); when the
+    basis has lost orthonormality; when the acceptance rule refuses; or
+    when the Cholesky factorization fails. A near-tie therefore costs time
+    and never changes the answer.
     """
     a = as_matrix(a)
     tall = a.shape[0] > a.shape[1]
     if tall:
         a = a.T
-    m = a.shape[0]
     found = None
-    if m >= (_PARTIAL_MIN_DIM if symmetric else _GENERAL_PARTIAL_MIN_DIM):
-        found = _partial_part(a, cut, symmetric)
-    if found is None and not symmetric and m >= _GRAM_MIN_DIM:
-        found = _gram_part(a, cut)
-    if found is not None:
-        part, k = found
-    elif symmetric:
+    if a.shape[0] >= (_PARTIAL_MIN_DIM if symmetric else _GRAM_MIN_DIM):
+        found = _gram_cut(a, cut, symmetric)
+    if found is None and symmetric:
         lam, q = np.linalg.eigh(a)
         order = np.argsort(-np.abs(lam), kind="stable")
         k = int((np.abs(lam)[order] >= cut).sum())
         cols = order[:k]
         part = (q[:, cols] * lam[cols]) @ q[:, cols].T
-    else:
+    elif found is None:
         fact = svd(a)
         s = fact.singular_values
         keep = s >= cut
         k = int(keep.sum())
         part = (fact.left_vectors[:, keep] * s[keep]) @ fact.right_vectors[:, keep].T
+    else:
+        u, w = found
+        k = u.shape[1]
+        if symmetric:
+            h = w @ u
+            part = (u @ ((h + h.T) / 2.0)) @ u.T
+        else:
+            part = u @ w
     return (part.T if tall else part), k
 
 
-def _partial_part(a: np.ndarray, cut: float, symmetric: bool):
-    """The partial path of :func:`thresholded_part` for an ``a`` with no
-    more rows than columns: its certified ``(part, k)``, or ``None`` where
-    the full path must run."""
-    m, n = a.shape
-    width = _BLOCK * (_STEPS + 1)
-    q = np.empty((m, width), order="F")
-    # a q when symmetric, else a^T q: the columns Rayleigh-Ritz needs.
-    w = np.empty((n, width), order="F")
-    start = make_rng(mix_seed(m, n)).standard_normal((n, _BLOCK))
-    q[:, :_BLOCK] = np.linalg.qr(start if symmetric else a @ start)[0]
-    for step in range(1, _STEPS + 2):
-        size = step * _BLOCK
-        new = slice(size - _BLOCK, size)
-        w[:, new] = (a if symmetric else a.T) @ q[:, new]
-        if step == _FIRST_RITZ:
-            values = _ritz(q[:, :size], w[:, :size], symmetric)[0]
-            if (np.abs(values) >= cut).sum() > _BLOCK // 2:
-                return None
-        if step > _STEPS:
-            break
-        y = w[:, new] if symmetric else a @ w[:, new]
-        # Twice is enough: the second pass restores orthogonality that the
-        # first loses to cancellation; QR after each keeps the block unit.
-        for _ in range(2):
-            y = np.linalg.qr(y - q[:, :size] @ (q[:, :size].T @ y))[0]
-        q[:, size:size + _BLOCK] = y
-    if width * np.abs(q.T @ q - np.eye(width)).max() >= _MARGIN:
-        return None
-    values, left, right = _ritz(q, w, symmetric)
-    keep = np.abs(values) >= cut
-    k = int(keep.sum())
-    if k > _BLOCK // 2 or not (np.abs(np.abs(values) - cut) > _MARGIN * cut).all():
-        return None
-    lam = values[keep]
-    u = q @ left[:, keep]
-    if symmetric:
-        v = u
-        residual = w @ left[:, keep] - u * lam
-    else:
-        v = right[:, keep]
-        residual = a @ v - u * lam
-    if k and not (np.linalg.norm(residual, axis=0).max()
-                  <= _RESIDUAL * (np.abs(lam).min() - cut)):
-        return None
-    part = (u * lam) @ v.T
-    if not _norm_below(a, part, cut * (1.0 - _MARGIN)):
-        return None
-    return part, k
-
-
-def _gram_part(a: np.ndarray, cut: float):
-    """The Gram route of :func:`thresholded_part` for a general ``a`` with no
-    more rows than columns: ``(part, k)`` from ``eigh`` of ``a a^T``, or
-    ``None`` where the SVD must run."""
+def _gram_cut(a: np.ndarray, cut: float, symmetric: bool):
+    """The Krylov and Gram routes of :func:`thresholded_part` for an ``a``
+    with no more rows than columns: ``(U, U^T a)`` over the kept triplets,
+    or ``None`` where the full decomposition must run."""
     m, n = a.shape
     g = a @ a.T
     # Each entry of the computed G is a dot product of length n, so G errs
@@ -268,46 +222,90 @@ def _gram_part(a: np.ndarray, cut: float):
     # (n + m) u ||a||_F^2 (1 + O(n u)) of s_i^2; the factor 2 covers the
     # higher-order terms and the rounding of the trace itself.
     err = 2.0 * (m + n) * (np.finfo(float).eps / 2.0) * float(np.trace(g))
-    lam, q = np.linalg.eigh(g)
-    del g
+    found = None
+    if (m >= (_PARTIAL_MIN_DIM if symmetric else _GENERAL_PARTIAL_MIN_DIM)
+            and err <= _MARGIN * cut * cut / 2.0):
+        found = _krylov(a, g, cut, err)
+    if found is None and not symmetric:
+        lam, q = np.linalg.eigh(g)
+        del g
+        found = _accepted(a, lam, q, cut, err)
+    return found
+
+
+def _krylov(a: np.ndarray, g: np.ndarray, cut: float, err: float):
+    """The Krylov route: block Krylov iteration on ``g = a a^T``; the
+    accepted Ritz pairs as ``(U, U^T a)`` if certified, else ``None``."""
+    m = g.shape[0]
+    width = _BLOCK * (_STEPS + 1)
+    q = np.empty((m, width), order="F")
+    gq = np.empty((m, width), order="F")
+    start = make_rng(mix_seed(m, a.shape[1])).standard_normal((m, _BLOCK))
+    q[:, :_BLOCK] = np.linalg.qr(start)[0]
+    for step in range(1, _STEPS + 2):
+        size = step * _BLOCK
+        new = slice(size - _BLOCK, size)
+        gq[:, new] = g @ q[:, new]
+        if step == _FIRST_RITZ or step > _STEPS:
+            h = q[:, :size].T @ gq[:, :size]
+            values, vectors = np.linalg.eigh((h + h.T) / 2.0)
+            if (values >= cut * cut).sum() > _BLOCK // 2:
+                return None
+        if step > _STEPS:
+            break
+        y = gq[:, new]
+        # Twice is enough: the second pass restores orthogonality that the
+        # first loses to cancellation; QR after each keeps the block unit.
+        for _ in range(2):
+            y = np.linalg.qr(y - q[:, :size] @ (q[:, :size].T @ y))[0]
+        q[:, size:size + _BLOCK] = y
+    if width * np.abs(q.T @ q - np.eye(width)).max() >= _MARGIN:
+        return None
+    found = _accepted(a, values, vectors, cut, err, q)
+    if found is None:
+        return None
+    # P G P = G - U Z^T - Z U^T for P = I - U U^T and
+    # Z = G U - U (U^T G U) / 2: one m x 2k x m product.
+    u = found[0]
+    gu = g @ u
+    ugu = u.T @ gu
+    z = gu - u @ ((ugu + ugu.T) / 4.0)
+    h = np.concatenate([u, z], axis=1) @ np.concatenate([z, u], axis=1).T
+    if not _norm_below(np.subtract(g, h, out=h), cut * (1.0 - _MARGIN)):
+        return None
+    return found
+
+
+def _accepted(a: np.ndarray, lam: np.ndarray, vectors: np.ndarray, cut: float, err: float,
+              basis=None):
+    """``(U, U^T a)`` over the pairs ``(lam_i, x_i)`` of ``a a^T`` with
+    ``lam_i >= cut^2``, ``x_i`` column i of ``vectors``, or of
+    ``basis @ vectors`` for Ritz pairs (forming only the kept ones); ``None``
+    where the acceptance rule of :func:`thresholded_part` refuses."""
     near = np.abs(np.sqrt(np.maximum(lam, 0.0)) - cut) <= _MARGIN * cut
     if not cut > 0 or near.any() or (np.abs(lam - cut * cut) <= err).any():
         return None
     keep = lam >= cut * cut
-    k = int(keep.sum())
-    u = q[:, keep]
+    u = vectors[:, keep] if basis is None else basis @ vectors[:, keep]
     w = u.T @ a
     # Rows of w are s_i v_i^T, so a v_i - s_i u_i = (a w_i - lam_i u_i) / s_i.
     s = np.sqrt(lam[keep])
     residual = (a @ w.T - u * lam[keep]) / s
-    if k and not (np.linalg.norm(residual, axis=0).max() <= _RESIDUAL * (s.min() - cut)):
+    if keep.any() and not (np.linalg.norm(residual, axis=0).max()
+                           <= _RESIDUAL * (s.min() - cut)):
         return None
-    return u @ w, k
+    return u, w
 
 
-def _ritz(q: np.ndarray, w: np.ndarray, symmetric: bool):
-    """Rayleigh-Ritz on the orthonormal basis ``q`` with ``w = a q``
-    (symmetric) or ``w = a^T q``: Ritz values, their vectors in ``q``'s
-    coordinates and, for ``a^T q``, the right Ritz vectors."""
-    if symmetric:
-        h = q.T @ w
-        values, vectors = np.linalg.eigh((h + h.T) / 2.0)
-        return values, vectors, None
-    right, values, left_t = np.linalg.svd(w, full_matrices=False)
-    return values, left_t.T, right
-
-
-def _norm_below(a: np.ndarray, part, c: float) -> bool:
-    """Whether ``||r|| < c`` for ``r = a - part``, or ``r = a`` when ``part``
-    is None: ``c > 0`` and one Cholesky factorization of ``c^2 I - r r^T``
-    completes, ``r`` having no more rows than columns. ``a`` is not written."""
-    r = a if part is None else a - part
-    g = r @ r.T
-    del r
-    np.negative(g, out=g)
-    g[np.diag_indices_from(g)] += c * c
+def _norm_below(h: np.ndarray, c: float) -> bool:
+    """Whether every eigenvalue of the symmetric ``h`` lies below ``c^2``,
+    so ``||r|| < c`` for ``h = r r^T``: ``c > 0`` and one Cholesky
+    factorization of ``c^2 I - h`` completes. That matrix is formed in
+    ``h``'s own buffer, which the caller hands over."""
+    np.negative(h, out=h)
+    h[np.diag_indices_from(h)] += c * c
     try:
-        np.linalg.cholesky(g)
+        np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         return False
     return c > 0

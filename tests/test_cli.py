@@ -77,6 +77,46 @@ def test_negative_control_exits_2(capsys):
     assert "FAIL  negative-control" in stdout
 
 
+def test_unwritable_out_exits_3(tmp_path, capsys):
+    code, _, err = run(["experiment", "--model", "zero", "--n-grid", "8",
+                        "--out", str(tmp_path / "missing" / "r")], capsys)
+    assert code == 3
+    assert err.startswith("i/o error: ")
+
+
+def test_model_param_without_equals_exits_1(tmp_path, capsys):
+    code, _, err = run(["experiment", "--model", "blockmodel", "--model-param", "k2",
+                        "--n-grid", "8", "--out", str(tmp_path / "r")], capsys)
+    assert code == 1
+    assert "--model-param expects KEY=VALUE, got 'k2'" in err
+
+
+def test_model_param_that_is_not_json_passes_as_a_string(tmp_path, capsys):
+    code, _, _ = run(["experiment", "--model", "distance", "--model-param", "metric=manhattan",
+                      "--n-grid", "8", "--out", str(tmp_path / "r")], capsys)
+    assert code == 0
+    params = json.loads((tmp_path / "r.json").read_text())["spec"]["model"]["params"]
+    assert params == {"metric": "manhattan"}
+
+
+@pytest.mark.parametrize("flags", [[], ["--config", "spec.json", "--model", "zero"]],
+                         ids=["neither", "both"])
+def test_config_xor_model_exits_1(tmp_path, capsys, flags):
+    code, _, err = run(["experiment", *flags, "--out", str(tmp_path / "r")], capsys)
+    assert code == 1
+    assert "provide exactly one of --config or --model" in err
+
+
+def test_failed_cell_is_printed(tmp_path, capsys):
+    code, stdout, _ = run(["experiment", "--model", "minimax", "--model-param", "theta=0.3",
+                           "--n-grid", "16", "--out", str(tmp_path / "r")], capsys)
+    assert code == 0
+    assert stdout.splitlines() == [
+        "n=16 p=1.0 FAILED: ValidationError: p must lie in (0, 1), got 1.0",
+        f"wrote {tmp_path / 'r'}.json and {tmp_path / 'r'}.csv (0/1 cells completed)",
+    ]
+
+
 def write_config(tmp_path, config):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(config))

@@ -274,7 +274,7 @@ class TestSpectralConcentration:
 
         monkeypatch.setattr(np.linalg, "cholesky", lenient_cholesky)
         # The premise: at the bound itself, with no margin, it certifies.
-        assert _norm_below(a, None, bound)
+        assert _norm_below(a @ a.T, bound)
         monkeypatch.setattr(evaluation_module, "sample_upper", lambda n, draw: a.copy())
         assert spectral_concentration_trial(n, "rademacher", 0.1, trials=2, seed=1) == 0.0
 

@@ -218,6 +218,10 @@ class TestRunExperiment:
         report = run_experiment(spec)
         assert report.cells[0].failure is not None
 
+    def test_no_bracket_at_p_zero(self):
+        report = run_experiment(small_spec(p_grid=(0.0, 1.0), n_grid=(16,), trials=1))
+        assert [c.bracket is None for c in report.cells] == [True, False]
+
     def test_blockmodel_diagonal_knob(self):
         spec = ExperimentSpec(
             model=ModelSpec("blockmodel", {"k": 2, "observe_diagonal": False}),
@@ -245,6 +249,15 @@ class TestReportSerialization:
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 1 + len(report.cells)
         assert lines[0].startswith("n,p,mean_mse")
+
+
+    def test_csv_failure_commas_become_semicolons(self, tmp_path):
+        spec = ExperimentSpec(model=ModelSpec("minimax", {"theta": 0.3}), n_grid=(16,),
+                              p_grid=(1.0,), eta=0.01, trials=1, seed=5)
+        path = tmp_path / "r.csv"
+        write_report_csv(run_experiment(spec), path)
+        row = path.read_text().splitlines()[1]
+        assert row == "16,1.0,,,,,,ValidationError: p must lie in (0; 1); got 1.0"
 
 
 class TestEstimateFile:

@@ -4,8 +4,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import usvt.linalg as linalg_module
 from usvt.errors import ValidationError
-from usvt.estimator import SymmetryMode
-from usvt.generators import bernoulli_mask, bernoulli_round, gen_low_rank
+from usvt.estimator import MaskedMatrix, SymmetryMode, threshold_value
+from usvt.generators import bernoulli_mask, bernoulli_round, gen_blockmodel, gen_low_rank
 from usvt.linalg import (
     _norm_below,
     as_matrix,
@@ -284,7 +284,9 @@ def test_thresholded_part_matches_svd_oracle_above_cutoff(seed, shape, position)
 @pytest.mark.parametrize("case", ["symmetric", "wide", "part"])
 @pytest.mark.parametrize("scale", [1.0 - 1e-3, 1.0 + 1e-3])
 def test_norm_below_decides_exact_spectra(case, scale):
-    # Q diag(s) P^T with a known norm, against a c just below or just above it.
+    # h = a a^T for a = Q diag(s) P^T with a known norm, or proj a a^T proj
+    # for proj = I - U U^T, U spanning the leading two triplets, against a c
+    # just below or just above that norm.
     rng = make_rng(29)
     m, n = (60, 60) if case == "symmetric" else (40, 90)
     q = np.linalg.qr(rng.standard_normal((m, m)))[0]
@@ -293,19 +295,19 @@ def test_norm_below_decides_exact_spectra(case, scale):
         # definite for every c in (2.5, 3), and proves nothing there.
         s = np.concatenate([[-3.0, 2.5], np.linspace(2.0, -2.0, m - 2)])
         a = (q * s) @ q.T
-        a, part, norm = (a + a.T) / 2.0, None, 3.0
+        a, norm = (a + a.T) / 2.0, 3.0
     else:
         p = np.linalg.qr(rng.standard_normal((n, m)))[0]
         s = np.concatenate([[9.0, 7.0, 3.0], np.linspace(2.0, 0.0, m - 3)])
         a = (q * s) @ p.T
-        # With the leading two triplets as the part, s_3 = 3 is the norm left.
-        part = (q[:, :2] * s[:2]) @ p[:, :2].T if case == "part" else None
+        # With the leading two triplets projected out, s_3 = 3 is the norm left.
         norm = 3.0 if case == "part" else 9.0
-    inputs = [x.copy() for x in (a, part) if x is not None]
-    assert _norm_below(a, part, norm * scale) == (scale > 1.0)
+    u = q[:, :2] if case == "part" else q[:, :0]
+    proj = np.eye(m) - u @ u.T
+    # _norm_below factors in h's own buffer, so each call gets an h of its own.
+    assert _norm_below(proj @ a @ a.T @ proj, norm * scale) == (scale > 1.0)
     # A negative c has the same square but bounds nothing.
-    assert not _norm_below(a, part, -2.0 * norm)
-    assert all(np.array_equal(x, y) for x, y in zip(inputs, (a, part)))
+    assert not _norm_below(proj @ a @ a.T @ proj, -2.0 * norm)
 
 
 def spectrum_input(dims, leading, bulk, seed, symmetric=False):
@@ -424,6 +426,26 @@ def test_gram_route_on_weak_signal(full_decompositions):
     assert full_decompositions == ["eigh"]
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_krylov_route_certifies_weak_symmetric_signal(seed, full_decompositions):
+    # A k = 3 blockmodel seen at n = 800 and p = 0.2, cut as the estimator
+    # cuts it: the sweep's weakest large symmetric cell. Krylov iteration on
+    # a a^T certifies it without the full eigh.
+    n, sym = 800, SymmetryMode.SYMMETRIC
+    probs = np.full((3, 3), 0.2)
+    np.fill_diagonal(probs, 0.8)
+    adjacency = gen_blockmodel(n, 3, probs, seed)[1]
+    mask = bernoulli_mask(n, n, 0.2, sym, seed + 10)
+    y = np.where(mask, 2.0 * adjacency - 1.0, 0.0)
+    cut = threshold_value(n, MaskedMatrix(adjacency, mask, sym).observed_fraction(), 0.01)
+    part, k = thresholded_part(y, cut, symmetric=True)
+    assert full_decompositions == []
+    lam, q = np.linalg.eigh(y)
+    keep = np.abs(lam) >= cut
+    assert k == keep.sum() >= 1
+    assert np.abs(part - (q[:, keep] * lam[keep]) @ q[:, keep].T).max() <= 1e-10
+
+
 @pytest.mark.parametrize("leading", [
     [30.0, 20.0, 5.0 + 1e-9], [30.0, 20.0, 10.0, 5.0 - 1e-9], [5e5, 20.0, 10.0],
 ], ids=["near-tie-kept", "near-tie-dropped", "ill-conditioned"])
@@ -445,14 +467,14 @@ def test_general_partial_path_falls_back_to_gram_route(case, monkeypatch, full_d
     # cannot certify, the Gram route runs, not the SVD.
     leading, bulk = SPECTRA.get(case, SPECTRA["gap"])
     a, expected = spectrum_input((1000, 1040), leading, bulk, seed=17)
-    partial, tried = linalg_module._partial_part, []
+    krylov, tried = linalg_module._krylov, []
 
-    def partial_spy(*args):
-        found = partial(*args)
+    def krylov_spy(*args):
+        found = krylov(*args)
         tried.append(found is not None)
         return found
 
-    monkeypatch.setattr(linalg_module, "_partial_part", partial_spy)
+    monkeypatch.setattr(linalg_module, "_krylov", krylov_spy)
     if case == "certificate fails":
         def cholesky_fails(x):
             raise np.linalg.LinAlgError("injected")
@@ -462,3 +484,49 @@ def test_general_partial_path_falls_back_to_gram_route(case, monkeypatch, full_d
     assert np.abs(part - expected).max() <= 1e-10
     assert tried == [case == "gap"]
     assert full_decompositions == ([] if case == "gap" else ["eigh"])
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["general", "symmetric"])
+def test_krylov_route_refuses_a_basis_that_lost_orthonormality(symmetric, monkeypatch,
+                                                               full_decompositions):
+    # One block of the basis, moved by 1e-6 after its second QR pass, leaves
+    # the basis further from orthonormal than 1e-6 / 210: the Ritz pairs
+    # never reach the acceptance rule, and the next route decides.
+    dims = (500, 500) if symmetric else (1000, 1040)
+    a, expected = spectrum_input(dims, *SPECTRA["gap"], seed=19, symmetric=symmetric)
+    qr, accepted, calls, ritz = np.linalg.qr, linalg_module._accepted, [], []
+
+    def perturbed_qr(x, *args, **kwargs):
+        q, r = qr(x, *args, **kwargs)
+        calls.append(x.shape)
+        # The start, then two passes per step: the second pass of step 2.
+        return (q + 1e-6 if len(calls) == 5 else q), r
+
+    def accepted_spy(*args):
+        ritz.append(len(args) > 5)
+        return accepted(*args)
+
+    monkeypatch.setattr(np.linalg, "qr", perturbed_qr)
+    monkeypatch.setattr(linalg_module, "_accepted", accepted_spy)
+    part, k = thresholded_part(a, 5.0, symmetric=symmetric)
+    assert k == 3 and len(calls) == 1 + 2 * 20
+    assert np.abs(part - expected).max() <= 1e-10
+    assert ritz == ([] if symmetric else [False])
+    assert full_decompositions == ["eigh"]
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["general", "symmetric"])
+def test_krylov_route_refused_where_gram_rounding_exceeds_the_margin(symmetric, monkeypatch,
+                                                                    full_decompositions):
+    # With s_1 / cut = 4000, forming a a^T errs by more than the margin can
+    # cover, so the Krylov route is not tried. A symmetric input goes on to
+    # eigh; a general one to the Gram route, whose residual rule refuses
+    # this ill-conditioned input, and then to the SVD.
+    dims = (500, 500) if symmetric else (1000, 1040)
+    a = spectrum_input(dims, [2e4, 20.0, 10.0], 0.9, seed=23, symmetric=symmetric)[0]
+    monkeypatch.setattr(linalg_module, "_krylov", lambda *args: pytest.fail("Krylov tried"))
+    part, k = thresholded_part(a, 5.0, symmetric=symmetric)
+    expected, expected_k = svd_oracle_part(a, 5.0)
+    assert k == expected_k == 3
+    assert np.abs(part - expected).max() <= 1e-10
+    assert full_decompositions == (["eigh"] if symmetric else ["eigh", "svd"])
