@@ -16,7 +16,7 @@ from usvt.linalg import (
     svd,
     thresholded_part,
 )
-from usvt.rng import make_rng
+from usvt.rng import make_rng, mix_seed
 
 
 def power_iteration_norm(a, iters=5000):
@@ -513,6 +513,58 @@ def test_krylov_route_refuses_a_basis_that_lost_orthonormality(symmetric, monkey
     assert np.abs(part - expected).max() <= 1e-10
     assert ritz == ([] if symmetric else [False])
     assert full_decompositions == ["eigh"]
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["general", "symmetric"])
+def test_krylov_certificate_survives_worst_case_rounding(symmetric, monkeypatch,
+                                                         full_decompositions):
+    # A floating-point Cholesky that completes proves definiteness only up
+    # to a shift of (m + 1) u tr (Rump, BIT 46, 2006). Factor with that
+    # whole shift added, on an input whose s_4 exceeds the cut of 5 by 1e-13
+    # relative and whose s_4 vector is orthogonal to the Krylov start block,
+    # so that no Ritz value comes near it: only the margin by which the
+    # certificate shrinks the cut can refuse the three Ritz pairs.
+    dims = (500, 500) if symmetric else (1000, 1040)
+    m, n = dims
+    rng = make_rng(31)
+    start = np.linalg.qr(make_rng(mix_seed(m, n)).standard_normal((m, 10)))[0]
+    hidden = rng.standard_normal(m)
+    hidden -= start @ (start.T @ hidden)
+    u = np.linalg.qr(np.column_stack([hidden, rng.standard_normal((m, m - 1))]))[0]
+    u = np.roll(u, 3, axis=1)
+    values = np.concatenate([[30.0, 20.0, 10.0, 5.0 * (1.0 + 1e-13)], np.linspace(4.9, 0.0, m - 4)])
+    if symmetric:
+        a = (u * values * (-1.0) ** np.arange(m)) @ u.T
+        a = (a + a.T) / 2.0
+    else:
+        a = (u * values) @ np.linalg.qr(rng.standard_normal((n, m)))[0].T
+    expected, expected_k = svd_oracle_part(a, 5.0)
+    assert expected_k == 4
+    cholesky = np.linalg.cholesky
+
+    def lenient_cholesky(h):
+        shift = (len(h) + 1) * 2.0 ** -53 * abs(np.trace(h))
+        return cholesky(h + shift * np.eye(len(h)))
+
+    monkeypatch.setattr(np.linalg, "cholesky", lenient_cholesky)
+    # The premise: with the three leading vectors projected out, the
+    # lenient factorization certifies the unshrunk cut.
+    proj = np.eye(m) - u[:, :3] @ u[:, :3].T
+    assert _norm_below(proj @ a @ a.T @ proj, 5.0)
+    krylov, tried = linalg_module._krylov, []
+
+    def krylov_spy(*args):
+        found = krylov(*args)
+        tried.append(found is not None)
+        return found
+
+    monkeypatch.setattr(linalg_module, "_krylov", krylov_spy)
+    part, k = thresholded_part(a, 5.0, symmetric=symmetric)
+    assert tried == [False]
+    assert k == expected_k
+    assert np.abs(part - expected).max() <= 1e-10
+    # The Gram route refuses the near-tie too, so a general input ends at the SVD.
+    assert full_decompositions == (["eigh"] if symmetric else ["eigh", "svd"])
 
 
 @pytest.mark.parametrize("symmetric", [False, True], ids=["general", "symmetric"])
