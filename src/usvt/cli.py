@@ -44,9 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, func, help):
+    def add_command(name, func, help, description=None):
         # A flag left out is absent from the namespace: the library's default applies.
-        command = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        command = sub.add_parser(name, help=help, description=description,
+                                 argument_default=argparse.SUPPRESS)
         command.set_defaults(func=func)
         return command
 
@@ -63,7 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="{" + ",".join(m.value for m in SymmetryMode) + "}")
     est.add_argument("--header", action="store_true", help="input has a header row")
 
-    exp = add_command("experiment", _cmd_experiment, "run a grid-sweep experiment")
+    exp = add_command(
+        "experiment", _cmd_experiment, "run a grid-sweep experiment",
+        "Run a grid sweep and write PREFIX.json and PREFIX.csv. The same spec and seed "
+        "give byte-identical reports on the same numpy build at the same BLAS thread "
+        "count; at another thread count the last digits of the errors may differ.")
     exp.add_argument("--config", help="JSON ExperimentSpec file")
     exp.add_argument("--model", help="model kind (inline alternative to --config)")
     exp.add_argument("--model-param", action="append", metavar="KEY=VALUE",

@@ -105,8 +105,11 @@ class MaskedMatrix:
         symmetric and skew-symmetric modes."""
         if self.mode is SymmetryMode.ASYMMETRIC:
             return float(self.mask.mean())
-        iu = np.triu_indices(self.shape[0])
-        return float(self.mask[iu].mean())
+        # The mask is symmetric: the upper triangle holds half of the
+        # off-diagonal entries and the whole diagonal.
+        n = self.shape[0]
+        seen = np.count_nonzero(self.mask) + np.count_nonzero(self.mask.diagonal())
+        return seen // 2 / (n * (n + 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -180,17 +183,6 @@ def threshold_value(n: int, p_hat: float, eta: float, sigma_sq: float | None = N
     return (2.0 + eta) * float(np.sqrt(n * rate))
 
 
-def _validate_observed_range(values, mask, lo, hi):
-    # A function of its own, so that the copy of the observed values is
-    # freed before the zero-filled matrix is built.
-    observed = values[mask]
-    if observed.size and (observed.min() < lo or observed.max() > hi):
-        raise ValidationError(
-            f"observed values fall outside the declared interval [{lo}, {hi}]; "
-            "the error guarantee requires bounded entries"
-        )
-
-
 def _normalise(data: MaskedMatrix, interval):
     """Check the interval and that the observed values lie in it; map the
     observed entries affinely onto [-1, 1] and zero-fill the rest.
@@ -198,13 +190,21 @@ def _normalise(data: MaskedMatrix, interval):
     Returns ``(lo, hi, p_hat, y)``; ``y`` is None when nothing is observed.
     """
     lo, hi = _check_interval(interval)
-    _validate_observed_range(data.values, data.mask, lo, hi)
     p_hat = data.observed_fraction()
     if p_hat == 0.0:
         return lo, hi, p_hat, None
     mid = (lo + hi) / 2.0
-    half = (hi - lo) / 2.0
-    return lo, hi, p_hat, np.where(data.mask, (data.values - mid) / half, 0.0)
+    # The unobserved entries hold the midpoint, which lies in [lo, hi], so
+    # only an observed value can fall outside, and they map to zero.
+    y = np.where(data.mask, data.values, mid)
+    if y.min() < lo or y.max() > hi:
+        raise ValidationError(
+            f"observed values fall outside the declared interval [{lo}, {hi}]; "
+            "the error guarantee requires bounded entries"
+        )
+    y -= mid
+    y /= (hi - lo) / 2.0
+    return lo, hi, p_hat, y
 
 
 def _restore(w: np.ndarray, p_hat: float, lo: float, hi: float) -> np.ndarray:

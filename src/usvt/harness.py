@@ -9,10 +9,13 @@ probability, and emits machine-readable reports (JSON plus a flat CSV, one
 row per grid cell).
 
 Reproducibility contract: identical spec + seed gives byte-identical
-report files. Per-trial seeds are derived as ``mix_seed(seed, stream,
-n_index, trial)`` (stream 1 = model draws, stream 2 = mask/game draws); the
-p-grid index is deliberately not part of the path, so cells at different p
-share their model draws and get nested masks — paired comparisons across p.
+report files on the same numpy build at the same BLAS thread count.
+Decompositions of 300 rows or more may differ in their last bits at another
+thread count or on another build, and so may the errors of their cells.
+Per-trial seeds are derived as ``mix_seed(seed, stream, n_index, trial)``
+(stream 1 = model draws, stream 2 = mask/game draws); the p-grid index is
+deliberately not part of the path, so cells at different p share their
+model draws and get nested masks — paired comparisons across p.
 Cell wall times are tracked on the in-memory results but never serialized,
 since timing would break byte-identical reports.
 """

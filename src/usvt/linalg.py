@@ -7,9 +7,10 @@ which is deterministic for a fixed input.
 
 :func:`thresholded_part`, the spectral cut of the estimator, keeps only the
 singular triplets at or above a cut. On all but small inputs it finds them
-as eigenpairs of the Gram matrix ``a a^T``: by block Krylov iteration on
-large inputs, by ``eigh`` on general ones, and it falls back to the full
-``svd`` or ``eigh`` wherever neither can certify its result.
+as eigenpairs of the Gram matrix ``a a^T``: on large inputs by block Krylov
+iteration, stopped at the first step where its result is certified, on
+general ones by ``eigh``; and it falls back to the full ``svd`` or ``eigh``
+wherever neither can certify its result.
 """
 
 from __future__ import annotations
@@ -49,10 +50,12 @@ _GENERAL_PARTIAL_MIN_DIM = 1000
 #: Columns added to the Krylov basis per step; more than half of them at or
 #: above the cut saturates the block.
 _BLOCK = 10
-#: Krylov steps, so the basis has at most ``_BLOCK * (_STEPS + 1)`` columns.
-_STEPS = 20
-#: Blocks in the basis at the first Rayleigh-Ritz, which tests saturation.
-_FIRST_RITZ = 2
+#: Most Krylov steps, so the basis has at most ``_BLOCK * (_STEPS + 1)``
+#: columns; and never more than a third of the rows.
+_STEPS = 40
+#: Krylov steps between two Rayleigh-Ritz checks of the basis; the last
+#: check comes at the last step.
+_CHECK = 4
 #: Relative distance from the cut within which the square root of a Ritz
 #: value or eigenvalue of ``G = a a^T`` is a near-tie. The certificate
 #: shrinks the cut ``c`` by it too, so ``cut^2 - c^2`` (about 2e-6 cut^2)
@@ -145,8 +148,11 @@ def thresholded_part(a, cut: float, symmetric: bool = False) -> tuple[np.ndarray
     - *Krylov*, tried from ``m >= 500`` (symmetric) or ``m >= 1000``
       (general): block Krylov iteration on ``G`` from a Gaussian start drawn
       from ``make_rng(mix_seed(m, n))`` (so the same input always gives the
-      same bytes) builds an orthonormal basis of up to 210 columns, and
-      Rayleigh-Ritz on it gives the Ritz pairs whose values reach ``cut^2``.
+      same bytes) adds 10 orthonormal columns to its basis per step, for
+      at most 40 steps and ``m / 3`` columns. Every 4 steps, and at the
+      last, Rayleigh-Ritz on the basis gives the Ritz pairs whose values
+      reach ``cut^2``; the route returns at the first of these checks where
+      they are accepted and certified.
     - *Gram*, for a general ``a`` that the Krylov route did not take or
       certify: ``numpy.linalg.eigh`` of ``G``.
     - *Full*: :func:`svd`, or ``numpy.linalg.eigh`` of ``a`` when symmetric
@@ -170,12 +176,14 @@ def thresholded_part(a, cut: float, symmetric: bool = False) -> tuple[np.ndarray
     every ``x`` orthogonal to ``U``), which one Cholesky factorization of
     ``c^2 I - P G P`` bounds below ``c^2``, the cut ``c`` shrunk by the
     margin. The next route runs instead when ``err`` exceeds
-    ``5e-7 cut^2``, past which the margin cannot cover rounding; when more
-    than 5 Ritz values reach the cut (the block of 10 is saturated; tested
-    on the first two blocks of the basis and again on all of it); when the
-    basis has lost orthonormality; when the acceptance rule refuses; or
-    when the Cholesky factorization fails. A near-tie therefore costs time
-    and never changes the answer.
+    ``5e-7 cut^2``, past which the margin cannot cover rounding; when, at
+    a check, more than 5 Ritz values reach the cut (the block of 10 is
+    saturated), the basis has lost orthonormality or the Cholesky
+    factorization fails; when the residuals of the kept Ritz pairs,
+    decaying at the rate seen between two checks, would still exceed their
+    bound at the last step (a near-tie never meets it); or when the
+    acceptance rule still refuses at the last check. A near-tie therefore
+    costs time and never changes the answer.
     """
     a = as_matrix(a)
     tall = a.shape[0] > a.shape[1]
@@ -235,45 +243,95 @@ def _gram_cut(a: np.ndarray, cut: float, symmetric: bool):
 
 def _krylov(a: np.ndarray, g: np.ndarray, cut: float, err: float):
     """The Krylov route: block Krylov iteration on ``g = a a^T``; the
-    accepted Ritz pairs as ``(U, U^T a)`` if certified, else ``None``."""
+    accepted Ritz pairs as ``(U, U^T a)`` at the first check where they are
+    certified, else ``None``."""
     m = g.shape[0]
-    width = _BLOCK * (_STEPS + 1)
-    q = np.empty((m, width), order="F")
-    gq = np.empty((m, width), order="F")
+    steps = min(_STEPS, m // (3 * _BLOCK) - 1)
+    q = np.empty((m, _BLOCK * (_CHECK + 1)), order="F")
+    gq = np.empty_like(q)
     start = make_rng(mix_seed(m, a.shape[1])).standard_normal((m, _BLOCK))
     q[:, :_BLOCK] = np.linalg.qr(start)[0]
-    for step in range(1, _STEPS + 2):
-        size = step * _BLOCK
+    last = None
+    for step in range(steps + 1):
+        size = (step + 1) * _BLOCK
         new = slice(size - _BLOCK, size)
         gq[:, new] = g @ q[:, new]
-        if step == _FIRST_RITZ or step > _STEPS:
-            h = q[:, :size].T @ gq[:, :size]
-            values, vectors = np.linalg.eigh((h + h.T) / 2.0)
-            if (values >= cut * cut).sum() > _BLOCK // 2:
+        if step == steps or (step and step % _CHECK == 0):
+            basis = q[:, :size]
+            if size * np.abs(basis.T @ basis - np.eye(size)).max() >= _MARGIN:
                 return None
-        if step > _STEPS:
+            h = basis.T @ gq[:, :size]
+            values, vectors = np.linalg.eigh((h + h.T) / 2.0)
+            keep = values >= cut * cut
+            k = int(keep.sum())
+            if k > _BLOCK // 2:
+                return None
+            # a v - s u = (G u - lam u) / s, so G Q gives the residuals at
+            # little cost. The rule itself, which reads them off a, runs only
+            # once they meet its bound; until then, their decay tells whether
+            # they can meet it within the budget.
+            excess = _excess(basis, gq[:, :size], values[keep], vectors[:, keep], cut)
+            if excess <= 1.0:
+                found = _accepted(a, values, vectors, cut, err, basis)
+                if found is not None:
+                    return found if _complement_below(g, found[0], cut) else None
+            elif last is not None and last[0] == k and _too_slow(*last[1:], step, excess, steps):
+                return None
+            else:
+                last = (k, step, excess)
+        if step == steps:
             break
+        if size == q.shape[1]:
+            q, gq = _widened(q), _widened(gq)
         y = gq[:, new]
         # Twice is enough: the second pass restores orthogonality that the
         # first loses to cancellation; QR after each keeps the block unit.
         for _ in range(2):
             y = np.linalg.qr(y - q[:, :size] @ (q[:, :size].T @ y))[0]
         q[:, size:size + _BLOCK] = y
-    if width * np.abs(q.T @ q - np.eye(width)).max() >= _MARGIN:
-        return None
-    found = _accepted(a, values, vectors, cut, err, q)
-    if found is None:
-        return None
-    # P G P = G - U Z^T - Z U^T for P = I - U U^T and
-    # Z = G U - U (U^T G U) / 2: one m x 2k x m product.
-    u = found[0]
+    return None
+
+
+def _excess(basis: np.ndarray, g_basis: np.ndarray, lam: np.ndarray, x: np.ndarray,
+            cut: float) -> float:
+    """The largest residual ``||G u - lam u|| / sqrt(lam)`` of the Ritz
+    pairs ``(lam_i, basis @ x_i)``, read off ``g_basis = G basis``, over the
+    residual rule's bound; infinite where the smallest is a near-tie."""
+    if not lam.size:
+        return 0.0
+    s = np.sqrt(lam)
+    if not s.min() - cut > _MARGIN * cut:
+        return np.inf
+    worst = (np.linalg.norm(g_basis @ x - (basis @ x) * lam, axis=0) / s).max()
+    return float(worst / (_RESIDUAL * (s.min() - cut)))
+
+
+def _too_slow(then: int, was: float, now: int, excess: float, end: int) -> bool:
+    """Whether the residual excess, down from ``was`` at step ``then`` to
+    ``excess`` at step ``now``, would at that rate still exceed 1 at step
+    ``end``."""
+    rate = (excess / was) ** (1.0 / (now - then))
+    return not rate < 1.0 or excess * rate ** (end - now) > 1.0
+
+
+def _widened(x: np.ndarray) -> np.ndarray:
+    """``x`` with room for ``_CHECK`` more blocks of columns."""
+    out = np.empty((x.shape[0], x.shape[1] + _CHECK * _BLOCK), order="F")
+    out[:, :x.shape[1]] = x
+    return out
+
+
+def _complement_below(g: np.ndarray, u: np.ndarray, cut: float) -> bool:
+    """The certificate of the Krylov route: whether ``P g P``, for
+    ``P = I - U U^T``, has every eigenvalue below ``c^2``, ``c`` the cut
+    shrunk by the margin."""
+    # P G P = G - U Z^T - Z U^T for Z = G U - U (U^T G U) / 2: one m x 2k x m
+    # product.
     gu = g @ u
     ugu = u.T @ gu
     z = gu - u @ ((ugu + ugu.T) / 4.0)
     h = np.concatenate([u, z], axis=1) @ np.concatenate([z, u], axis=1).T
-    if not _norm_below(np.subtract(g, h, out=h), cut * (1.0 - _MARGIN)):
-        return None
-    return found
+    return _norm_below(np.subtract(g, h, out=h), cut * (1.0 - _MARGIN))
 
 
 def _accepted(a: np.ndarray, lam: np.ndarray, vectors: np.ndarray, cut: float, err: float,

@@ -322,3 +322,10 @@ def test_estimate_command_bytes_pinned(tmp_path, capsys):
     assert digests == ["fbf7970487567d9420d7d700cb6f3a41b3ff4457b003d4d2650ce602714c7330",
                        "6ff79dd8f0303580b2c26dd6ee4a237ebaae2d681f63a23f299e7a49e8cd11e7",
                        "794eb551f7712be31a13cbc4c1314b0c1a6ee151d1d066d4cf8641184219ba2e"]
+
+
+def test_experiment_help_states_the_byte_contract(capsys):
+    code, stdout, _ = run(["experiment", "--help"], capsys)
+    assert code == 0
+    help_text = " ".join(stdout.split())
+    assert "byte-identical reports on the same numpy build at the same BLAS thread count" in help_text

@@ -9,6 +9,7 @@ from usvt.estimator import (
     EstimatorConfig,
     MaskedMatrix,
     SymmetryMode,
+    _normalise,
     threshold_value,
     trivial_estimate,
     usvt_estimate,
@@ -101,6 +102,45 @@ class TestMaskedMatrix:
         mask = np.array([[True, False], [False, True]])
         mm = MaskedMatrix(np.zeros((2, 2)), mask, SYM)
         assert mm.observed_fraction() == pytest.approx(2.0 / 3.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    mode=st.sampled_from(list(SymmetryMode)),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    spill=st.sampled_from([0.0, 1e-9, 0.5]),
+)
+def test_normalise_matches_two_pass_form(seed, mode, p, spill):
+    # The one-pass normalisation gives the bytes and p_hat of the two-pass
+    # form: gather the observed values for the range check, then map them
+    # and zero-fill; p_hat counts the upper triangle in the paired modes.
+    # Values may spill past the interval, observed or not.
+    rng = make_rng(seed)
+    m = int(rng.integers(1, 12))
+    n = m if mode is not ASYM else int(rng.integers(1, 12))
+    lo, hi = sorted(rng.uniform(-3, 3, 2))
+    hi = max(hi, lo + 1e-3)
+    values = rng.uniform(lo - spill, hi + spill, (m, n))
+    mask = rng.random((m, n)) < p
+    if mode is not ASYM:
+        mask = np.triu(mask) | np.triu(mask).T
+    if mode is SYM:
+        values = np.triu(values) + np.triu(values, 1).T
+    data = MaskedMatrix(values, mask, mode)
+    observed = values[mask]
+    p_hat = mask.mean() if mode is ASYM else mask[np.triu_indices(m)].mean()
+    if observed.size and (observed.min() < lo or observed.max() > hi):
+        with pytest.raises(ValidationError, match="outside the declared interval"):
+            _normalise(data, (lo, hi))
+        return
+    got = _normalise(data, (lo, hi))
+    assert got[:3] == (lo, hi, p_hat)
+    if p_hat == 0.0:
+        assert got[3] is None
+    else:
+        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        assert got[3].tobytes() == np.where(mask, (values - mid) / half, 0.0).tobytes()
 
 
 class TestUsvtEstimate:

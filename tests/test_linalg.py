@@ -353,6 +353,21 @@ def full_decompositions(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """The ``numpy.linalg.qr`` calls ``thresholded_part`` makes, as a list.
+    Only the Krylov route calls it: once for the start block and twice per
+    step, so ``n`` calls mean ``(n - 1) / 2`` steps."""
+    calls, qr = [], np.linalg.qr
+
+    def qr_spy(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return qr(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", qr_spy)
+    return calls
+
+
 #: Leading singular values and the top of the bulk, for a cut of 5: a
 #: clear gap; a value within 1e-9 of the cut; 40 values above the cut, more
 #: than the partial path's block can hold; a gap too narrow for 20 Krylov
@@ -372,7 +387,8 @@ SPECTRA = {
     ("slow", "square"), ("slow", "symmetric"),
     ("certificate fails", "square"), ("certificate fails", "symmetric"),
 ])
-def test_thresholded_part_partial_path_or_full(case, shape, monkeypatch, full_decompositions):
+def test_thresholded_part_partial_path_or_full(case, shape, monkeypatch, full_decompositions,
+                                               qr_calls):
     leading, bulk = SPECTRA.get(case, SPECTRA["gap"])
     a, expected = spectrum_input(LARGE[shape], leading, bulk, seed=11, symmetric=shape == "symmetric")
     if case == "certificate fails":
@@ -380,6 +396,10 @@ def test_thresholded_part_partial_path_or_full(case, shape, monkeypatch, full_de
             raise np.linalg.LinAlgError("injected")
         monkeypatch.setattr(np.linalg, "cholesky", cholesky_fails)
     part, k = thresholded_part(a, 5.0, symmetric=shape == "symmetric")
+    if case == "slow" and shape == "symmetric":
+        # The residuals decay too slowly to meet their bound within the
+        # budget of 15 steps at 500 rows: the Krylov route gives up early.
+        assert (len(qr_calls) - 1) // 2 < 15
     assert k == len(leading)
     assert np.abs(part - expected).max() <= 1e-10
     assert np.array_equal(thresholded_part(a, 5.0, symmetric=shape == "symmetric")[0], part)
@@ -446,6 +466,45 @@ def test_krylov_route_certifies_weak_symmetric_signal(seed, full_decompositions)
     assert np.abs(part - (q[:, keep] * lam[keep]) @ q[:, keep].T).max() <= 1e-10
 
 
+def test_krylov_route_stops_at_the_first_certified_check(full_decompositions, qr_calls):
+    # A k = 4 blockmodel at n = 2200 and p = 0.5, the benchmark's large
+    # symmetric input, cut as the estimator cuts it: its four eigenvalues
+    # are certified long before step 20, with no full decomposition.
+    n, sym = 2200, SymmetryMode.SYMMETRIC
+    probs = np.full((4, 4), 0.2)
+    np.fill_diagonal(probs, 0.8)
+    adjacency = gen_blockmodel(n, 4, probs, 3)[1]
+    mask = bernoulli_mask(n, n, 0.5, sym, 13)
+    y = np.where(mask, 2.0 * adjacency - 1.0, 0.0)
+    cut = threshold_value(n, MaskedMatrix(adjacency, mask, sym).observed_fraction(), 0.01)
+    part, k = thresholded_part(y, cut, symmetric=True)
+    assert (len(qr_calls) - 1) // 2 < 20
+    assert full_decompositions == []
+    lam, q = np.linalg.eigh(y)
+    keep = np.abs(lam) >= cut
+    assert k == keep.sum() == 4
+    assert np.abs(part - (q[:, keep] * lam[keep]) @ q[:, keep].T).max() <= 1e-10
+
+
+def test_krylov_route_certifies_weak_general_signal(full_decompositions, qr_calls):
+    # A rank-3 truth seen through sign noise at n = 1500 and p = 0.1: its
+    # kept singular values lie within 15% of the cut, and their residuals
+    # meet the rule only after 20 steps. The Krylov route goes on to
+    # certify them, and eigh(a a^T) never runs.
+    n, asym = 1500, SymmetryMode.ASYMMETRIC
+    truth = gen_low_rank(n, n, 3, 1)
+    signs = 2.0 * bernoulli_round((truth + 1.0) / 2.0, asym, 2) - 1.0
+    mask = bernoulli_mask(n, n, 0.1, asym, 3)
+    y = np.where(mask, signs, 0.0)
+    cut = 2.01 * np.sqrt(n * mask.mean())
+    part, k = thresholded_part(y, cut)
+    assert (len(qr_calls) - 1) // 2 > 20
+    assert full_decompositions == []
+    expected, expected_k = svd_oracle_part(y, cut)
+    assert k == expected_k == 3
+    assert np.abs(part - expected).max() <= 1e-10
+
+
 @pytest.mark.parametrize("leading", [
     [30.0, 20.0, 5.0 + 1e-9], [30.0, 20.0, 10.0, 5.0 - 1e-9], [5e5, 20.0, 10.0],
 ], ids=["near-tie-kept", "near-tie-dropped", "ill-conditioned"])
@@ -462,7 +521,8 @@ def test_gram_route_falls_back_to_svd(leading, full_decompositions):
 
 
 @pytest.mark.parametrize("case", ["gap", "slow", "certificate fails"])
-def test_general_partial_path_falls_back_to_gram_route(case, monkeypatch, full_decompositions):
+def test_general_partial_path_falls_back_to_gram_route(case, monkeypatch, full_decompositions,
+                                                       qr_calls):
     # From 1000 rows a general input tries the partial path first; when it
     # cannot certify, the Gram route runs, not the SVD.
     leading, bulk = SPECTRA.get(case, SPECTRA["gap"])
@@ -484,14 +544,17 @@ def test_general_partial_path_falls_back_to_gram_route(case, monkeypatch, full_d
     assert np.abs(part - expected).max() <= 1e-10
     assert tried == [case == "gap"]
     assert full_decompositions == ([] if case == "gap" else ["eigh"])
+    # A clear gap is certified, and a slow one given up, before step 20.
+    assert (len(qr_calls) - 1) // 2 < 20
 
 
 @pytest.mark.parametrize("symmetric", [False, True], ids=["general", "symmetric"])
 def test_krylov_route_refuses_a_basis_that_lost_orthonormality(symmetric, monkeypatch,
                                                                full_decompositions):
     # One block of the basis, moved by 1e-6 after its second QR pass, leaves
-    # the basis further from orthonormal than 1e-6 / 210: the Ritz pairs
-    # never reach the acceptance rule, and the next route decides.
+    # the basis further from orthonormal than 1e-6 / 50 at the first check,
+    # after step 4: the Ritz pairs never reach the acceptance rule, and the
+    # next route decides.
     dims = (500, 500) if symmetric else (1000, 1040)
     a, expected = spectrum_input(dims, *SPECTRA["gap"], seed=19, symmetric=symmetric)
     qr, accepted, calls, ritz = np.linalg.qr, linalg_module._accepted, [], []
@@ -509,7 +572,7 @@ def test_krylov_route_refuses_a_basis_that_lost_orthonormality(symmetric, monkey
     monkeypatch.setattr(np.linalg, "qr", perturbed_qr)
     monkeypatch.setattr(linalg_module, "_accepted", accepted_spy)
     part, k = thresholded_part(a, 5.0, symmetric=symmetric)
-    assert k == 3 and len(calls) == 1 + 2 * 20
+    assert k == 3 and len(calls) == 1 + 2 * 4
     assert np.abs(part - expected).max() <= 1e-10
     assert ritz == ([] if symmetric else [False])
     assert full_decompositions == ["eigh"]
