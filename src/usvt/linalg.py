@@ -247,7 +247,7 @@ def _krylov(a: np.ndarray, g: np.ndarray, cut: float, err: float):
     certified, else ``None``."""
     m = g.shape[0]
     steps = min(_STEPS, m // (3 * _BLOCK) - 1)
-    q = np.empty((m, _BLOCK * (_CHECK + 1)), order="F")
+    q = np.empty((m, _BLOCK * (steps + 1)), order="F")
     gq = np.empty_like(q)
     start = make_rng(mix_seed(m, a.shape[1])).standard_normal((m, _BLOCK))
     q[:, :_BLOCK] = np.linalg.qr(start)[0]
@@ -281,8 +281,6 @@ def _krylov(a: np.ndarray, g: np.ndarray, cut: float, err: float):
                 last = (k, step, excess)
         if step == steps:
             break
-        if size == q.shape[1]:
-            q, gq = _widened(q), _widened(gq)
         y = gq[:, new]
         # Twice is enough: the second pass restores orthogonality that the
         # first loses to cancellation; QR after each keeps the block unit.
@@ -312,13 +310,6 @@ def _too_slow(then: int, was: float, now: int, excess: float, end: int) -> bool:
     ``end``."""
     rate = (excess / was) ** (1.0 / (now - then))
     return not rate < 1.0 or excess * rate ** (end - now) > 1.0
-
-
-def _widened(x: np.ndarray) -> np.ndarray:
-    """``x`` with room for ``_CHECK`` more blocks of columns."""
-    out = np.empty((x.shape[0], x.shape[1] + _CHECK * _BLOCK), order="F")
-    out[:, :x.shape[1]] = x
-    return out
 
 
 def _complement_below(g: np.ndarray, u: np.ndarray, cut: float) -> bool:

@@ -370,8 +370,8 @@ def qr_calls(monkeypatch):
 
 #: Leading singular values and the top of the bulk, for a cut of 5: a
 #: clear gap; a value within 1e-9 of the cut; 40 values above the cut, more
-#: than the partial path's block can hold; a gap too narrow for 20 Krylov
-#: steps to resolve.
+#: than the partial path's block can hold; a gap too narrow for the Krylov
+#: route to resolve within its budget of steps.
 SPECTRA = {
     "gap": ([30.0, 20.0, 10.0], 0.9),
     "near-tie": ([30.0, 20.0, 5.0 + 5e-10], 0.9),
