@@ -274,6 +274,8 @@ def _krylov(a: np.ndarray, g: np.ndarray, cut: float, err: float):
             if excess <= 1.0:
                 found = _accepted(a, values, vectors, cut, err, basis)
                 if found is not None:
+                    # Free the basis before the certificate's m x m arrays.
+                    del q, gq, basis
                     return found if _complement_below(g, found[0], cut) else None
             elif last is not None and last[0] == k and _too_slow(*last[1:], step, excess, steps):
                 return None
