@@ -15,6 +15,7 @@ wherever neither can certify its result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,9 @@ _BLOCK = 10
 #: Most Krylov steps, so the basis has at most ``_BLOCK * (_STEPS + 1)``
 #: columns; and never more than a third of the rows.
 _STEPS = 40
-#: Krylov steps between two Rayleigh-Ritz checks of the basis; the last
-#: check comes at the last step.
+#: Fewest Krylov steps between two Rayleigh-Ritz checks of the basis. Once
+#: two checks show the residuals' decay, the next comes where that decay
+#: meets their bound; the last comes at the last step.
 _CHECK = 4
 #: Relative distance from the cut within which the square root of a Ritz
 #: value or eigenvalue of ``G = a a^T`` is a near-tie. The certificate
@@ -149,10 +151,11 @@ def thresholded_part(a, cut: float, symmetric: bool = False) -> tuple[np.ndarray
       (general): block Krylov iteration on ``G`` from a Gaussian start drawn
       from ``make_rng(mix_seed(m, n))`` (so the same input always gives the
       same bytes) adds 10 orthonormal columns to its basis per step, for
-      at most 40 steps and ``m / 3`` columns. Every 4 steps, and at the
-      last, Rayleigh-Ritz on the basis gives the Ritz pairs whose values
-      reach ``cut^2``; the route returns at the first of these checks where
-      they are accepted and certified.
+      at most 40 steps and ``m / 3`` columns. Rayleigh-Ritz on the basis
+      gives the Ritz pairs whose values reach ``cut^2``: at step 4, then
+      4 steps on, or further where the residuals' decay so far says they
+      meet their bound, and at the last step. The route returns at the
+      first of these checks where the pairs are accepted and certified.
     - *Gram*, for a general ``a`` that the Krylov route did not take or
       certify: ``numpy.linalg.eigh`` of ``G``.
     - *Full*: :func:`svd`, or ``numpy.linalg.eigh`` of ``a`` when symmetric
@@ -251,12 +254,12 @@ def _krylov(a: np.ndarray, g: np.ndarray, cut: float, err: float):
     gq = np.empty_like(q)
     start = make_rng(mix_seed(m, a.shape[1])).standard_normal((m, _BLOCK))
     q[:, :_BLOCK] = np.linalg.qr(start)[0]
-    last = None
+    check, last = _CHECK, None
     for step in range(steps + 1):
         size = (step + 1) * _BLOCK
         new = slice(size - _BLOCK, size)
         gq[:, new] = g @ q[:, new]
-        if step == steps or (step and step % _CHECK == 0):
+        if step == check or step == steps:
             basis = q[:, :size]
             if size * np.abs(basis.T @ basis - np.eye(size)).max() >= _MARGIN:
                 return None
@@ -268,8 +271,8 @@ def _krylov(a: np.ndarray, g: np.ndarray, cut: float, err: float):
                 return None
             # a v - s u = (G u - lam u) / s, so G Q gives the residuals at
             # little cost. The rule itself, which reads them off a, runs only
-            # once they meet its bound; until then, their decay tells whether
-            # they can meet it within the budget.
+            # once they meet its bound; until then, their decay sets the next
+            # check, or shows that they cannot meet it within the budget.
             excess = _excess(basis, gq[:, :size], values[keep], vectors[:, keep], cut)
             if excess <= 1.0:
                 found = _accepted(a, values, vectors, cut, err, basis)
@@ -277,10 +280,14 @@ def _krylov(a: np.ndarray, g: np.ndarray, cut: float, err: float):
                     # Free the basis before the certificate's m x m arrays.
                     del q, gq, basis
                     return found if _complement_below(g, found[0], cut) else None
-            elif last is not None and last[0] == k and _too_slow(*last[1:], step, excess, steps):
-                return None
-            else:
-                last = (k, step, excess)
+            due = step
+            if excess > 1.0 and last is not None and last[0] == k:
+                due = _due(*last[1:], step, excess)
+                if due > steps:
+                    return None
+            # A check costs as much as several steps: at least _CHECK apart.
+            check = max(step + _CHECK, math.ceil(due))
+            last = (k, step, excess)
         if step == steps:
             break
         y = gq[:, new]
@@ -306,12 +313,16 @@ def _excess(basis: np.ndarray, g_basis: np.ndarray, lam: np.ndarray, x: np.ndarr
     return float(worst / (_RESIDUAL * (s.min() - cut)))
 
 
-def _too_slow(then: int, was: float, now: int, excess: float, end: int) -> bool:
-    """Whether the residual excess, down from ``was`` at step ``then`` to
-    ``excess`` at step ``now``, would at that rate still exceed 1 at step
-    ``end``."""
-    rate = (excess / was) ** (1.0 / (now - then))
-    return not rate < 1.0 or excess * rate ** (end - now) > 1.0
+def _due(then: int, was: float, now: int, excess: float) -> float:
+    """The step at which the residual excess, down from ``was`` at step
+    ``then`` to ``excess > 1`` at step ``now``, reaches 1 at that rate;
+    infinite where it does not fall."""
+    if not excess < was:
+        return math.inf
+    if was == math.inf:
+        return now
+    drop = math.log(was / excess) / (now - then)
+    return now + math.log(excess) / drop if drop > 0.0 else math.inf
 
 
 def _complement_below(g: np.ndarray, u: np.ndarray, cut: float) -> bool:
