@@ -68,8 +68,8 @@ class MaskedMatrix:
     In ``SYMMETRIC`` mode both values and mask must be exactly symmetric;
     in ``SKEW_SYMMETRIC`` mode the mask must be symmetric while the values
     carry whatever was recorded at each position (the skew structure lives
-    in the noise, not in the data). Values must be finite everywhere;
-    unobserved positions are conventionally zero.
+    in the noise, not in the data). Values must be finite everywhere; those
+    at unobserved positions are ignored.
     """
 
     values: np.ndarray

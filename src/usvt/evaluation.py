@@ -141,9 +141,9 @@ def spectral_concentration_trial(n: int, dist: str, eta: float, trials: int, see
 
     Each trial draws the entries on and above the diagonal independently
     from the distribution named ``dist`` in :data:`ENTRY_DISTRIBUTIONS`,
-    whose variance is ``sigma^2``, and mirrors them below. Requires
-    ``sigma^2 >= n^{-0.9}``, the regime in which the exceedance
-    probability is exponentially small.
+    whose variance is ``sigma^2``, and mirrors them below. Requires a
+    finite ``eta > -2`` and ``sigma^2 >= n^{-0.9}``, the regime in which
+    the exceedance probability is exponentially small.
 
     A trial is a hit if one Cholesky factorization of ``c^2 I - A A^T``
     completes for the bound ``c`` shrunk by ``usvt.linalg._MARGIN``, far more
@@ -152,6 +152,8 @@ def spectral_concentration_trial(n: int, dist: str, eta: float, trials: int, see
     """
     if n < 1 or trials < 1:
         raise ValidationError("n and trials must be positive")
+    if not (math.isfinite(eta) and eta > -2.0):
+        raise ValidationError(f"eta must be finite and above -2 for a positive bound, got {eta}")
     sampler, sigma_sq = _named(ENTRY_DISTRIBUTIONS, dist, "entry distribution")
     if sigma_sq < n ** (-0.9):
         raise ValidationError(f"variance bound {sigma_sq} below n^-0.9; out of regime")

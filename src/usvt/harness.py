@@ -15,7 +15,8 @@ thread count or on another build, and so may the errors of their cells.
 Per-trial seeds are derived as ``mix_seed(seed, stream, n_index, trial)``
 (stream 1 = model draws, stream 2 = mask/game draws); the p-grid index is
 deliberately not part of the path, so cells at different p share their
-model draws and get nested masks — paired comparisons across p.
+model draws and get nested masks — paired comparisons across p. Each
+(n, trial) model is therefore drawn once and observed at every p.
 Cell wall times are tracked on the in-memory results but never serialized,
 since timing would break byte-identical reports.
 """
@@ -95,43 +96,39 @@ class Family:
     """One model family: each accepted parameter with its kind (``int`` or
     ``float``: required; a tuple of names: one of them, the first by default;
     ``None``: a structured value the generator checks; any other value: the
-    default, whose type is the kind), symmetry mode, known value interval,
-    ``realize(prm, n, p, model_seed, data_seed) -> (truth, data)`` with
-    ``data`` a full matrix seen through a Bernoulli(p) mask in ``mode`` or a
-    self-masked :class:`MaskedMatrix`, ``bracket(prm, n, p)``, the rate
-    bracket (``None``: nuclear-norm bracket of the first trial's truth), and
-    ``clashes``, ``(message, test)`` pairs rejecting parameters given together."""
+    default, whose type is the kind), known value interval,
+    ``realize(prm, n, model_seed) -> observe``, which draws one model, with
+    ``observe(p, data_seed) -> (truth, data)`` its data seen at probability
+    p as a :class:`MaskedMatrix` that carries the family's symmetry mode,
+    ``bracket(prm, n, p)``, the rate bracket (``None``: nuclear-norm bracket
+    of the first trial's truth), and ``clashes``, ``(message, test)`` pairs
+    rejecting parameters given together."""
 
     params: dict
-    mode: SymmetryMode
     interval: tuple | None
     realize: Callable
     bracket: Callable | None = None
     clashes: tuple = ()
 
 
-def _observed(x: np.ndarray, mask: np.ndarray, mode: SymmetryMode) -> MaskedMatrix:
-    return MaskedMatrix(values=np.where(mask, x, 0.0), mask=mask, mode=mode)
+def _observe(mode: SymmetryMode, truth: np.ndarray, x: np.ndarray | None = None):
+    """``observe`` showing ``x`` (by default the truth) through a Bernoulli(p)
+    mask in ``mode``, whole: the estimator reads only the observed entries."""
+    x = truth if x is None else x
+    n = len(x)
+    return lambda p, data_seed: (
+        truth, MaskedMatrix(values=x, mask=bernoulli_mask(n, n, p, mode, data_seed), mode=mode))
 
 
-def _exact(truth):
-    """Realize function of a family whose data are the exact entries of
-    the truth ``truth(prm, n, p, model_seed)``."""
-    def realize(prm, n, p, model_seed, data_seed):
-        t = truth(prm, n, p, model_seed)
-        return t, t
-    return realize
-
-
-def _realize_lowrank(prm, n, p, model_seed, data_seed):
+def _realize_lowrank(prm, n, model_seed):
     truth = gen_low_rank(n, n, prm["r"], model_seed)
     if prm["noise"] == "none":
-        return truth, truth
+        return _observe(ASYM, truth)
     flips = bernoulli_round((truth + 1.0) / 2.0, ASYM, mix_seed(model_seed, 10))
-    return truth, 2.0 * flips - 1.0
+    return _observe(ASYM, truth, 2.0 * flips - 1.0)
 
 
-def _realize_blockmodel(prm, n, p, model_seed, data_seed):
+def _realize_blockmodel(prm, n, model_seed):
     if prm["k"] < 1:
         raise ValidationError(f"blockmodel parameter 'k' must be positive, got {prm['k']}")
     probs = prm["block_probs"]
@@ -139,70 +136,74 @@ def _realize_blockmodel(prm, n, p, model_seed, data_seed):
         probs = np.full((prm["k"], prm["k"]), prm["out_prob"])
         np.fill_diagonal(probs, prm["in_prob"])
     truth, adjacency = gen_blockmodel(n, prm["k"], probs, model_seed)
-    if prm["observe_diagonal"]:
-        return truth, adjacency
-    mask = bernoulli_mask(n, n, p, SYM, data_seed) & ~np.eye(n, dtype=bool)
-    return truth, _observed(adjacency, mask, SYM)
+
+    def observe(p, data_seed):
+        mask = bernoulli_mask(n, n, p, SYM, data_seed)
+        if not prm["observe_diagonal"]:
+            np.fill_diagonal(mask, False)
+        return truth, MaskedMatrix(values=adjacency, mask=mask, mode=SYM)
+    return observe
 
 
-def _realize_bradley_terry(prm, n, p, model_seed, data_seed):
+def _realize_bradley_terry(prm, n, model_seed):
     # Pairs play with probability p: the tournament draw is the mask.
     tm = gen_bradley_terry(n, model_seed, prm["family"], prm["strengths"])
-    return tm.p, play_tournament(tm, p, prm["games_per_pair"], data_seed)
+    return lambda p, data_seed: (
+        tm.p, play_tournament(tm, p, prm["games_per_pair"], data_seed))
 
 
 #: Every model family the harness sweeps, by kind.
 FAMILIES = {
-    "zero": Family({}, ASYM, None, _exact(lambda prm, n, p, seed: np.zeros((n, n)))),
+    "zero": Family({}, None, lambda prm, n, seed: _observe(ASYM, np.zeros((n, n)))),
     "lowrank": Family(
-        {"r": int, "noise": ("none", "sign")}, ASYM, None, _realize_lowrank,
+        {"r": int, "noise": ("none", "sign")}, None, _realize_lowrank,
         lambda prm, n, p: min(math.sqrt(prm["r"] / (n * p)), 1.0),
     ),
     "lowrank_adversary": Family(
-        {"r": int}, ASYM, None,
-        _exact(lambda prm, n, p, seed: gen_low_rank_adversary(n, n, prm["r"], seed)),
+        {"r": int}, None,
+        lambda prm, n, seed: _observe(ASYM, gen_low_rank_adversary(n, n, prm["r"], seed)),
         lambda prm, n, p: low_rank_lower_bound(n, prm["r"], p),
     ),
     "blockmodel": Family(
         {"k": int, "block_probs": None, "in_prob": 0.8, "out_prob": 0.2,
          "observe_diagonal": True},
-        SYM, (0.0, 1.0), _realize_blockmodel,
+        (0.0, 1.0), _realize_blockmodel,
         lambda prm, n, p: min(math.sqrt(prm["k"] / (n * p)), 1.0),
         (("parameter 'block_probs' excludes 'in_prob' and 'out_prob'",
           lambda prm: prm.get("block_probs") is not None
           and {"in_prob", "out_prob"} & prm.keys()),),
     ),
     "distance": Family(
-        {"dim": 1, "metric": tuple(DISTANCE_METRICS)}, SYM, (0.0, 1.0),
-        _exact(lambda prm, n, p, seed: gen_distance_matrix(
+        {"dim": 1, "metric": tuple(DISTANCE_METRICS)}, (0.0, 1.0),
+        lambda prm, n, seed: _observe(SYM, gen_distance_matrix(
             uniform_points(n, prm["dim"], seed), prm["metric"])),
         lambda prm, n, p: distance_bracket(n, p, prm["dim"]),
     ),
     "latent": Family(
-        {"dim": 1, "f": tuple(LATENT_CATALOG)}, ASYM, None,
-        _exact(lambda prm, n, p, seed: gen_latent_space(n, prm["dim"], prm["f"], seed)),
+        {"dim": 1, "f": tuple(LATENT_CATALOG)}, None,
+        lambda prm, n, seed: _observe(ASYM, gen_latent_space(n, prm["dim"], prm["f"], seed)),
         lambda prm, n, p: lipschitz_latent_bracket(n, p, prm["dim"]),
     ),
     "correlation": Family(
-        {}, SYM, None, _exact(lambda prm, n, p, seed: gen_correlation_matrix(n, seed)),
+        {}, None, lambda prm, n, seed: _observe(SYM, gen_correlation_matrix(n, seed)),
         lambda prm, n, p: psd_bracket(n, p),
     ),
     "graphon": Family(
-        {"f": tuple(GRAPHON_CATALOG)}, SYM, (0.0, 1.0),
-        lambda prm, n, p, model_seed, data_seed: gen_graphon(n, prm["f"], model_seed),
+        {"f": tuple(GRAPHON_CATALOG)}, (0.0, 1.0),
+        lambda prm, n, seed: _observe(SYM, *gen_graphon(n, prm["f"], seed)),
     ),
     "bradley_terry": Family(
         {"family": ("nonparametric_monotone", "parametric"), "strengths": None,
          "games_per_pair": 1},
-        SymmetryMode.SKEW_SYMMETRIC, (0.0, 1.0), _realize_bradley_terry,
+        (0.0, 1.0), _realize_bradley_terry,
         lambda prm, n, p: bradley_terry_bracket(n, p),
         (("parameter 'strengths' applies only to family 'parametric'",
           lambda prm: prm.get("strengths") is not None and prm.get("family") != "parametric"),),
     ),
-    # Nuclear budget theta * n^{3/2}; the construction requires p < 1.
-    "minimax": Family({"theta": float}, ASYM, None, _exact(
-        lambda prm, n, p, seed: gen_minimax_instance(
-            n, n, prm["theta"] * n * math.sqrt(n), p, seed))),
+    # Nuclear budget theta * n^{3/2}. The construction depends on p (and
+    # requires p < 1), so each observation builds its instance from the seed.
+    "minimax": Family({"theta": float}, None, lambda prm, n, seed: lambda p, data_seed: _observe(
+        ASYM, gen_minimax_instance(n, n, prm["theta"] * n * math.sqrt(n), p, seed))(p, data_seed)),
 }
 
 MODEL_KINDS = tuple(FAMILIES)
@@ -336,8 +337,9 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class CellResult:
-    """Aggregated results for one (n, p) grid cell. ``wall_time`` is
-    informational only and never serialized."""
+    """Aggregated results for one (n, p) grid cell. ``wall_time`` covers the
+    cell's observations, brackets, estimates and scores, not the model draws
+    its row of the grid shares; it is informational only, never serialized."""
 
     n: int
     p: float
@@ -357,68 +359,61 @@ class ExperimentReport:
     rate_fits: dict
 
 
-def _realize(model: ModelSpec, n: int, p: float, model_seed: int, data_seed: int):
-    """Build (masked data, truth, interval) for one trial."""
-    family = FAMILIES[model.kind]
-    truth, data = family.realize(model.settings(), n, p, model_seed, data_seed)
-    if not isinstance(data, MaskedMatrix):
-        data = _observed(data, bernoulli_mask(n, n, p, family.mode, data_seed), family.mode)
-    return data, truth, family.interval
-
-
-def _bracket_for(model: ModelSpec, n: int, p: float, truth0: np.ndarray) -> float | None:
-    """Family rate bracket where the family has one; otherwise the generic
-    nuclear-norm bracket of the first trial's truth. p = 0 has no bracket."""
-    if p <= 0.0:
-        return None
-    bracket = FAMILIES[model.kind].bracket
-    if bracket is None:
-        return nuclear_bracket(truth0, p)
-    return bracket(model.settings(), n, p)
-
-
-def _run_cell(spec: ExperimentSpec, i: int, j: int) -> CellResult:
-    n = spec.n_grid[i]
-    p = spec.p_grid[j]
-    start = time.perf_counter()
-    mses = []
-    ranks = []
-    trivial = []
+def _trial(spec: ExperimentSpec, observe, i: int, t: int, p: float) -> tuple:
+    """Trial ``t`` of cell (``spec.n_grid[i]``, p): ``(bracket, mse, retained
+    rank, trivial mse)``. The bracket is trial 0's (the nuclear-norm bracket
+    of its truth where the family has none; none at p = 0), and the trivial
+    mse is None unless ``spec.baseline_trivial``."""
+    family = FAMILIES[spec.model.kind]
+    truth, data = observe(p, mix_seed(spec.seed, 2, i, t))
     bracket = None
-    try:
-        for t in range(spec.trials):
-            model_seed = mix_seed(spec.seed, 1, i, t)
-            data_seed = mix_seed(spec.seed, 2, i, t)
-            data, truth, interval = _realize(spec.model, n, p, model_seed, data_seed)
-            if t == 0:
-                bracket = _bracket_for(spec.model, n, p, truth)
-            config = EstimatorConfig(
-                eta=spec.eta, sigma_sq=spec.sigma_sq, interval=interval, mode=data.mode
-            )
-            report, baseline = _usvt_and_baseline(data, config, spec.baseline_trivial)
-            mses.append(mse(report.estimate, truth))
-            ranks.append(report.retained_rank)
-            if baseline is not None:
-                trivial.append(mse(baseline, truth))
-    except (ValidationError, np.linalg.LinAlgError) as exc:
-        return CellResult(
-            n=n, p=p, mean_mse=None, std_mse=None, mean_retained_rank=None,
-            bracket=None, trivial_mean_mse=None,
-            failure=f"{type(exc).__name__}: {exc}",
-            wall_time=time.perf_counter() - start,
-        )
-    arr = np.asarray(mses)
-    return CellResult(
-        n=n,
-        p=p,
-        mean_mse=float(arr.mean()),
-        std_mse=float(arr.std()),
-        mean_retained_rank=float(np.mean(ranks)),
-        bracket=bracket,
-        trivial_mean_mse=float(np.mean(trivial)) if trivial else None,
-        failure=None,
-        wall_time=time.perf_counter() - start,
-    )
+    if t == 0 and p > 0.0:
+        bracket = (nuclear_bracket(truth, p) if family.bracket is None
+                   else family.bracket(spec.model.settings(), spec.n_grid[i], p))
+    config = EstimatorConfig(eta=spec.eta, sigma_sq=spec.sigma_sq, interval=family.interval,
+                             mode=data.mode)
+    report, baseline = _usvt_and_baseline(data, config, spec.baseline_trivial)
+    return (bracket, mse(report.estimate, truth), report.retained_rank,
+            None if baseline is None else mse(baseline, truth))
+
+
+def _sweep_size(spec: ExperimentSpec, i: int) -> list:
+    """The cells of ``spec.n_grid[i]`` in p-grid order. Each trial draws its
+    model once and observes it at every p whose cell has not failed: a cell
+    stops at its first :class:`ValidationError` or ``LinAlgError``."""
+    n = spec.n_grid[i]
+    runs = [[] for _ in spec.p_grid]
+    failures = [None] * len(spec.p_grid)
+    times = [0.0] * len(spec.p_grid)
+    for t in range(spec.trials):
+        if all(failures):
+            break
+        observe = None  # free the last model before the next is drawn
+        try:
+            observe = FAMILIES[spec.model.kind].realize(
+                spec.model.settings(), n, mix_seed(spec.seed, 1, i, t))
+        except (ValidationError, np.linalg.LinAlgError) as exc:
+            failures = [f or f"{type(exc).__name__}: {exc}" for f in failures]
+        for j, p in enumerate(spec.p_grid):
+            if failures[j] is None:
+                start = time.perf_counter()
+                try:
+                    runs[j].append(_trial(spec, observe, i, t, p))
+                except (ValidationError, np.linalg.LinAlgError) as exc:
+                    failures[j] = f"{type(exc).__name__}: {exc}"
+                times[j] += time.perf_counter() - start
+    cells = []
+    for p, run, failure, wall in zip(spec.p_grid, runs, failures, times):
+        if failure is not None:
+            cells.append(CellResult(n, p, None, None, None, None, None, failure, wall))
+            continue
+        brackets, mses, ranks, trivial = zip(*run)
+        cells.append(CellResult(
+            n=n, p=p, mean_mse=float(np.mean(mses)), std_mse=float(np.std(mses)),
+            mean_retained_rank=float(np.mean(ranks)), bracket=brackets[0],
+            trivial_mean_mse=None if trivial[0] is None else float(np.mean(trivial)),
+            failure=None, wall_time=wall))
+    return cells
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
@@ -426,7 +421,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     :class:`ValidationError` or ``numpy.linalg.LinAlgError`` records it as
     its failure and the rest complete; any other exception propagates."""
     n_p = len(spec.p_grid)
-    cells = [_run_cell(spec, i, j) for i in range(len(spec.n_grid)) for j in range(n_p)]
+    cells = [cell for i in range(len(spec.n_grid)) for cell in _sweep_size(spec, i)]
     fits = {}
     for j, p in enumerate(spec.p_grid):
         column = [cells[i * n_p + j] for i in range(len(spec.n_grid))]

@@ -10,6 +10,7 @@ from usvt.estimator import (
     MaskedMatrix,
     SymmetryMode,
     _normalise,
+    _usvt_and_baseline,
     threshold_value,
     trivial_estimate,
     usvt_estimate,
@@ -20,6 +21,7 @@ from usvt.rng import make_rng
 
 ASYM = SymmetryMode.ASYMMETRIC
 SYM = SymmetryMode.SYMMETRIC
+SKEW = SymmetryMode.SKEW_SYMMETRIC
 
 
 def full_mask(shape):
@@ -199,6 +201,27 @@ class TestUsvtEstimate:
         mask = np.array([[True, False], [True, True]])
         rep = usvt_estimate(MaskedMatrix(values, mask), EstimatorConfig(eta=0.01))
         assert np.abs(rep.estimate).max() <= 1.0
+        # Zero or any value the mode allows at the unobserved entries gives
+        # the same bytes of estimate and baseline, both where a full
+        # decomposition makes the cut (40 rows) and where the Krylov route
+        # does (symmetric, 500 rows).
+        for mode, n in ((ASYM, 40), (SYM, 40), (SKEW, 40), (SYM, 500)):
+            rng = make_rng(n)
+            u = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+            seen = 0.8 * np.outer(u, u) + rng.uniform(-0.2, 0.2, (n, n))
+            junk = rng.uniform(-50.0, 50.0, (n, n))
+            if mode is SYM:
+                seen, junk = (seen + seen.T) / 2.0, (junk + junk.T) / 2.0
+            mask = bernoulli_mask(n, n, 0.6, mode, seed=n)
+            config = EstimatorConfig(eta=0.01, mode=mode)
+            outputs = []
+            for fill in (0.0, junk):
+                data = MaskedMatrix(np.where(mask, seen, fill), mask, mode)
+                report, baseline = _usvt_and_baseline(data, config, baseline=True)
+                outputs.append((report.estimate.tobytes(), baseline.tobytes(),
+                                report.retained_rank))
+            assert outputs[0] == outputs[1], (mode, n)
+            assert outputs[0][2] == 1, (mode, n)
 
     def test_mode_mismatch_rejected(self):
         data = random_masked(1, 5, 5, mode=SYM)

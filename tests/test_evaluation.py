@@ -250,9 +250,13 @@ class TestSpectralConcentration:
         assert any(0.0 < f < 1.0 for f in fractions)
         assert 0.0 in fractions and 1.0 in fractions
 
-    def test_negative_bound_is_never_met(self):
-        # eta < -2 makes the bound negative; its square still exceeds ||A||^2.
-        assert spectral_concentration_trial(30, "rademacher", -9.0, trials=5, seed=3) == 0.0
+    def test_eta_without_a_positive_bound_rejected(self):
+        # eta <= -2 makes the bound (2 + eta) sigma sqrt(n) zero or negative,
+        # which no matrix meets; a NaN or infinite eta bounds nothing either.
+        for eta in (-2.0, -9.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="eta"):
+                spectral_concentration_trial(30, "rademacher", eta, trials=5, seed=3)
+        assert spectral_concentration_trial(30, "rademacher", -1.5, trials=5, seed=3) == 0.0
 
     def test_certified_hit_survives_worst_case_rounding(self, monkeypatch):
         # A floating-point Cholesky that completes proves definiteness only up

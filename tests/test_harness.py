@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import usvt
 from usvt.errors import ValidationError
 from usvt.estimator import SymmetryMode
+from usvt.generators import gen_blockmodel
 from usvt.harness import (
     FAMILIES,
     MODEL_KINDS,
@@ -18,6 +24,20 @@ from usvt.harness import (
 )
 from usvt.matrixio import read_matrix_csv, write_matrix_csv
 from usvt.rng import make_rng
+
+
+#: One 300-row symmetric (blockmodel) and general (sign-noise lowrank) sweep
+#: at two p; prints the serialized cells as JSON.
+_THREADS_SCRIPT = """
+import json
+from usvt.harness import ExperimentSpec, report_to_dict, run_experiment
+cells = []
+for model in ({"kind": "blockmodel", "params": {"k": 3}},
+              {"kind": "lowrank", "params": {"r": 3, "noise": "sign"}}):
+    spec = {"model": model, "n_grid": [300], "p_grid": [0.3, 1.0], "seed": 5}
+    cells += report_to_dict(run_experiment(ExperimentSpec.from_dict(spec)))["cells"]
+print(json.dumps(cells))
+"""
 
 
 def small_spec(**overrides):
@@ -221,6 +241,39 @@ class TestRunExperiment:
     def test_no_bracket_at_p_zero(self):
         report = run_experiment(small_spec(p_grid=(0.0, 1.0), n_grid=(16,), trials=1))
         assert [c.bracket is None for c in report.cells] == [True, False]
+
+    def test_each_model_drawn_once(self, monkeypatch):
+        # One draw per (n, trial), observed at every p of the grid.
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return gen_blockmodel(*args)
+
+        monkeypatch.setattr("usvt.harness.gen_blockmodel", spy)
+        spec = ExperimentSpec(model=ModelSpec("blockmodel", {"k": 2}), n_grid=(12, 16),
+                              p_grid=(0.3, 0.6, 1.0), trials=2, seed=3)
+        assert all(c.failure is None for c in run_experiment(spec).cells)
+        assert len(calls) == 4
+
+    def test_cells_agree_across_blas_thread_counts(self):
+        # Reports are byte-identical only at one BLAS thread count: from 300
+        # rows a decomposition may differ in its last bits at another. The
+        # retained rank, the bracket and the error to 1e-12 still agree.
+        src = str(Path(usvt.__file__).resolve().parent.parent)
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env, check=True,
+                                 capture_output=True, text=True, timeout=300).stdout
+            runs.append(json.loads(out))
+        assert len(runs[0]) == 4
+        for one, two in zip(*runs):
+            assert one["failure"] is None and two["failure"] is None
+            assert one["mean_retained_rank"] == two["mean_retained_rank"] > 0
+            assert one["bracket"] == two["bracket"]
+            assert one["mean_mse"] == pytest.approx(two["mean_mse"], rel=1e-12, abs=0.0)
 
     def test_blockmodel_diagonal_knob(self):
         spec = ExperimentSpec(
