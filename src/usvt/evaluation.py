@@ -161,7 +161,7 @@ def spectral_concentration_trial(n: int, dist: str, eta: float, trials: int, see
     hits = 0
     for t in range(trials):
         rng = make_rng(mix_seed(seed, t))
-        a = sample_upper(n, lambda i, j: sampler(rng, i.size))
+        a = sample_upper(n, lambda upper, size: sampler(rng, size))
         hits += (_norm_below(a @ a.T, bound * (1.0 - _MARGIN))
                  or float(np.abs(np.linalg.eigvalsh(a)).max()) <= bound)
     return hits / trials

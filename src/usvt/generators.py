@@ -134,18 +134,18 @@ _BELOW = {
 def sample_upper(n: int, draw, *, diagonal: bool = True, below: str = "mirror", dtype=float):
     """n x n matrix built from its upper triangle.
 
-    ``draw(rows, cols)`` returns the entries at the index pairs on and above
-    the diagonal (strictly above when ``diagonal`` is False), in row-major
-    order; that order is the order in which a random ``draw`` consumes its
+    ``draw(upper, size)`` returns the ``size`` entries at ``upper``, the
+    Boolean n x n mask of the positions on and above the diagonal (strictly
+    above when ``diagonal`` is False), in row-major order: the order of
+    ``x[upper]``, and the order in which a random ``draw`` consumes its
     stream. Each entry (j, i) below the diagonal is filled from x at (i, j)
     by ``below``: "mirror" (x) or "complement" (1 - x).
     Diagonal entries keep their drawn value, or are zero when not drawn.
     """
-    rows, cols = np.triu_indices(n, 0 if diagonal else 1)
-    upper = draw(rows, cols)
+    upper = ~np.tri(n, k=-1 if diagonal else 0, dtype=bool)
     out = np.zeros((n, n), dtype=dtype)
-    out[cols, rows] = _BELOW[below](upper)
-    out[rows, cols] = upper
+    out[upper] = draw(upper, np.count_nonzero(upper))
+    np.copyto(out, _BELOW[below](out.T), where=np.tri(n, k=-1, dtype=bool))
     return out
 
 
@@ -169,7 +169,7 @@ def gen_blockmodel(n, k, block_probs, seed):
     rng = make_rng(seed)
     z = rng.integers(0, k, size=n)
     m = b[np.ix_(z, z)]
-    return m, sample_upper(n, lambda i, j: rng.random(i.size) < m[i, j])
+    return m, sample_upper(n, lambda upper, size: rng.random(size) < m[upper])
 
 
 def gen_distance_matrix(points, metric: str = "euclidean") -> np.ndarray:
@@ -251,8 +251,8 @@ def gen_graphon(n: int, f: str, seed: int):
     rng = make_rng(seed)
     u = rng.random(n)
     full = func(u[:, None], u[None, :])
-    m = sample_upper(n, lambda i, j: full[i, j])
-    return m, sample_upper(n, lambda i, j: rng.random(i.size) < m[i, j])
+    m = sample_upper(n, lambda upper, size: full[upper])
+    return m, sample_upper(n, lambda upper, size: rng.random(size) < m[upper])
 
 
 def gen_bradley_terry(
@@ -294,7 +294,7 @@ def gen_bradley_terry(
         raise ValidationError(f"unknown tournament family {family!r}")
     # Build the lower triangle as exactly 1 - upper so p + p^T == 1 holds
     # entry for entry.
-    p = sample_upper(n, lambda i, j: raw[i, j], diagonal=False, below="complement")
+    p = sample_upper(n, lambda upper, size: raw[upper], diagonal=False, below="complement")
     return TournamentModel(p=p, strength_order=order)
 
 
@@ -317,11 +317,12 @@ def play_tournament(model: TournamentModel, p: float, games_per_pair: int, seed:
     prob = model.p
     n = prob.shape[0]
     rng = make_rng(seed)
-    mask = sample_upper(n, lambda i, j: rng.random(i.size) < p, diagonal=False, dtype=bool)
+    mask = sample_upper(n, lambda upper, size: rng.random(size) < p, diagonal=False, dtype=bool)
     # Draw outcomes for every pair (played or not) so the stream is the
     # same at every p: masks at different p are then nested couplings.
-    values = sample_upper(n, lambda i, j: rng.binomial(games_per_pair, prob[i, j]) / games_per_pair,
-                          diagonal=False, below="complement")
+    values = sample_upper(
+        n, lambda upper, size: rng.binomial(games_per_pair, prob[upper]) / games_per_pair,
+        diagonal=False, below="complement")
     values *= mask  # unplayed pairs read 0 on both sides
     np.fill_diagonal(mask, True)
     return MaskedMatrix(values=values, mask=mask, mode=SymmetryMode.SKEW_SYMMETRIC)
@@ -396,7 +397,7 @@ def bernoulli_mask(rows: int, cols: int, p: float, mode: SymmetryMode, seed: int
         return rng.random((rows, cols)) < p
     if rows != cols:
         raise ValidationError(f"{mode.value} mode requires a square mask")
-    return sample_upper(rows, lambda i, j: rng.random(i.size) < p, dtype=bool)
+    return sample_upper(rows, lambda upper, size: rng.random(size) < p, dtype=bool)
 
 
 def bernoulli_round(m, mode: SymmetryMode, seed: int) -> np.ndarray:
@@ -416,4 +417,4 @@ def bernoulli_round(m, mode: SymmetryMode, seed: int) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ValidationError(f"{mode.value} mode requires a square matrix")
     below = "mirror" if mode is SymmetryMode.SYMMETRIC else "complement"
-    return sample_upper(m.shape[0], lambda i, j: rng.random(i.size) < m[i, j], below=below)
+    return sample_upper(m.shape[0], lambda upper, size: rng.random(size) < m[upper], below=below)

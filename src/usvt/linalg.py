@@ -187,6 +187,10 @@ def thresholded_part(a, cut: float, symmetric: bool = False) -> tuple[np.ndarray
     bound at the last step (a near-tie never meets it); or when the
     acceptance rule still refuses at the last check. A near-tie therefore
     costs time and never changes the answer.
+
+    ``a`` is never written. The Krylov route's peak holds ``a``, ``G`` (in
+    whose buffer ``c^2 I - P G P`` is formed) and the Cholesky's two m x m
+    arrays: its copy of that matrix and the factor.
     """
     a = as_matrix(a)
     tall = a.shape[0] > a.shape[1]
@@ -247,7 +251,8 @@ def _gram_cut(a: np.ndarray, cut: float, symmetric: bool):
 def _krylov(a: np.ndarray, g: np.ndarray, cut: float, err: float):
     """The Krylov route: block Krylov iteration on ``g = a a^T``; the
     accepted Ritz pairs as ``(U, U^T a)`` at the first check where they are
-    certified, else ``None``."""
+    certified, else ``None``. The certificate spends ``g``; where it fails,
+    ``g`` is formed again, with the same bytes, for the Gram route."""
     m = g.shape[0]
     steps = min(_STEPS, m // (3 * _BLOCK) - 1)
     q = np.empty((m, _BLOCK * (steps + 1)), order="F")
@@ -279,7 +284,10 @@ def _krylov(a: np.ndarray, g: np.ndarray, cut: float, err: float):
                 if found is not None:
                     # Free the basis before the certificate's m x m arrays.
                     del q, gq, basis
-                    return found if _complement_below(g, found[0], cut) else None
+                    if _complement_below(g, found[0], cut):
+                        return found
+                    np.matmul(a, a.T, out=g)
+                    return None
             due = step
             if excess > 1.0 and last is not None and last[0] == k:
                 due = _due(*last[1:], step, excess)
@@ -328,14 +336,15 @@ def _due(then: int, was: float, now: int, excess: float) -> float:
 def _complement_below(g: np.ndarray, u: np.ndarray, cut: float) -> bool:
     """The certificate of the Krylov route: whether ``P g P``, for
     ``P = I - U U^T``, has every eigenvalue below ``c^2``, ``c`` the cut
-    shrunk by the margin."""
+    shrunk by the margin. ``c^2 I - P g P`` is formed in ``g``'s own
+    buffer, which the caller hands over."""
     # P G P = G - U Z^T - Z U^T for Z = G U - U (U^T G U) / 2: one m x 2k x m
     # product.
     gu = g @ u
     ugu = u.T @ gu
     z = gu - u @ ((ugu + ugu.T) / 4.0)
-    h = np.concatenate([u, z], axis=1) @ np.concatenate([z, u], axis=1).T
-    return _norm_below(np.subtract(g, h, out=h), cut * (1.0 - _MARGIN))
+    g -= np.concatenate([u, z], axis=1) @ np.concatenate([z, u], axis=1).T
+    return _norm_below(g, cut * (1.0 - _MARGIN))
 
 
 def _accepted(a: np.ndarray, lam: np.ndarray, vectors: np.ndarray, cut: float, err: float,

@@ -231,7 +231,7 @@ def _eigvalsh_trial(n, dist, eta, trials, seed):
     hits = 0
     for t in range(trials):
         rng = make_rng(mix_seed(seed, t))
-        a = sample_upper(n, lambda i, j: sampler(rng, i.size))
+        a = sample_upper(n, lambda upper, size: sampler(rng, size))
         hits += float(np.abs(np.linalg.eigvalsh(a)).max()) <= bound
     return hits / trials
 

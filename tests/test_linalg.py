@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -546,6 +548,67 @@ def test_general_partial_path_falls_back_to_gram_route(case, monkeypatch, full_d
     assert full_decompositions == ([] if case == "gap" else ["eigh"])
     # A clear gap is certified, and a slow one given up, before step 20.
     assert (len(qr_calls) - 1) // 2 < 20
+
+
+def cholesky_fails(x):
+    raise np.linalg.LinAlgError("injected")
+
+
+@pytest.mark.parametrize("dims, symmetric", [((600, 600), True), ((1000, 1040), False)],
+                         ids=["symmetric", "general"])
+def test_krylov_route_peak_memory(dims, symmetric, full_decompositions, qr_calls):
+    # The certificate forms c^2 I - P G P in G's own buffer, so beyond the
+    # input the cut's traced peak is G and the Cholesky factor: about 2.1
+    # m x m arrays, 3.1 when the certificate had a buffer of its own.
+    a = spectrum_input(dims, *SPECTRA["gap"], seed=11, symmetric=symmetric)[0]
+    qr_calls.clear()
+    tracemalloc.start()
+    try:
+        k = thresholded_part(a, 5.0, symmetric=symmetric)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert k == 3 and qr_calls and full_decompositions == []
+    assert peak < 2.5 * dims[0] ** 2 * 8
+
+
+def test_failed_certificate_leaves_gram_route_bytes(monkeypatch):
+    # The certificate spends G; after it fails, the Gram route must see the
+    # same G as where the Krylov route is never tried, byte for byte.
+    a = spectrum_input((1000, 1040), *SPECTRA["gap"], seed=17)[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "cholesky", cholesky_fails)
+        part, k = thresholded_part(a, 5.0)
+    monkeypatch.setattr(linalg_module, "_krylov", lambda *args: None)
+    expected, expected_k = thresholded_part(a, 5.0)
+    assert k == expected_k == 3
+    assert np.array_equal(part, expected)
+
+
+@pytest.mark.parametrize("dims, symmetric, fails, route", [
+    ((40, 60), False, False, ["svd"]),
+    ((300, 300), True, False, []),
+    ((600, 700), False, False, ["eigh"]),
+    ((700, 600), False, False, ["eigh"]),
+    ((500, 500), True, False, []),
+    ((1000, 1040), False, False, []),
+    ((500, 500), True, True, ["eigh"]),
+    ((1000, 1040), False, True, ["eigh"]),
+], ids=["svd", "eigh", "gram", "gram-tall", "krylov-symmetric", "krylov-general",
+        "certificate-fails-symmetric", "certificate-fails-general"])
+def test_thresholded_part_never_writes_its_input(dims, symmetric, fails, route, monkeypatch,
+                                                 full_decompositions, qr_calls):
+    # The estimator restores its baseline in the buffer of the matrix it
+    # cut, on the promise that the cut does not write it.
+    a = spectrum_input(dims, *SPECTRA["gap"], seed=37, symmetric=symmetric)[0]
+    before = a.copy()
+    qr_calls.clear()
+    if fails:
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky_fails)
+    assert thresholded_part(a, 5.0, symmetric=symmetric)[1] == 3
+    assert a.tobytes() == before.tobytes()
+    assert full_decompositions == route
+    assert bool(qr_calls) == (min(dims) >= (500 if symmetric else 1000))
 
 
 @pytest.mark.parametrize("symmetric", [False, True], ids=["general", "symmetric"])
