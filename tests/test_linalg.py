@@ -558,8 +558,9 @@ def cholesky_fails(x):
                          ids=["symmetric", "general"])
 def test_krylov_route_peak_memory(dims, symmetric, full_decompositions, qr_calls):
     # The certificate forms c^2 I - P G P in G's own buffer, so beyond the
-    # input the cut's traced peak is G and the Cholesky factor: about 2.1
-    # m x m arrays, 3.1 when the certificate had a buffer of its own.
+    # input the cut's traced peak is G and the Cholesky factor (LAPACK's
+    # working copy is not traced): about 2.1 m x m arrays. A buffer of the
+    # certificate's own would add a third.
     a = spectrum_input(dims, *SPECTRA["gap"], seed=11, symmetric=symmetric)[0]
     qr_calls.clear()
     tracemalloc.start()
