@@ -145,9 +145,10 @@ def spectral_concentration_trial(n: int, dist: str, eta: float, trials: int, see
     finite ``eta > -2`` and ``sigma^2 >= n^{-0.9}``, the regime in which
     the exceedance probability is exponentially small.
 
-    A trial is a hit if one Cholesky factorization of ``c^2 I - A A^T``
-    completes for the bound ``c`` shrunk by ``usvt.linalg._MARGIN``, far more
-    than ``eigvalsh`` errs; otherwise ``max |eigvalsh(A)| <= bound`` decides.
+    A trial is a hit if one Cholesky factorization of ``c^2 I - A A^T``, by
+    panels in the buffer of ``A A^T`` (one panel up to n = 512), completes
+    for the bound ``c`` shrunk by ``usvt.linalg._MARGIN``, far more than
+    ``eigvalsh`` errs; otherwise ``max |eigvalsh(A)| <= bound`` decides.
     Either way the fraction is that of ``eigvalsh`` alone.
     """
     if n < 1 or trials < 1:

@@ -68,13 +68,18 @@ _CHECK = 4
 #: factorization that completes in floating point proves an m x m matrix
 #: definite up to a shift of about (m + 1) u tr (Rump, BIT 46, 2006), here
 #: (m + 1) m u c^2: below the remaining 1.2e-6 cut^2 for m up to about
-#: 100,000. The concentration trial's ``c^2 I - A A^T`` (n x n) spends about
-#: n^2 u c^2 on each of forming and the shift: n up to about 95,000.
+#: 100,000; by panels in ``h``'s buffer too, since Demmel's backward-error
+#: bound allows any order of the inner products (Higham, Accuracy and
+#: Stability of Numerical Algorithms, 2nd ed., Thm 10.3). The concentration
+#: trial's ``c^2 I - A A^T`` (n x n) spends about n^2 u c^2 on each of
+#: forming and the shift: n up to about 95,000.
 _MARGIN = 1e-6
 #: Largest accepted residual ``||a v - s u||`` of the kept triplets, as a
 #: fraction of the distance of the smallest kept singular value from the
 #: cut.
 _RESIDUAL = 1e-10
+#: Rows per block, and per chunk of in-place updates, of the certificate.
+_PANEL = 512
 
 
 def as_matrix(a) -> np.ndarray:
@@ -177,20 +182,20 @@ def thresholded_part(a, cut: float, symmetric: bool = False) -> tuple[np.ndarray
     (interlacing), so ``s_k >= cut``. And ``s_{k+1}^2 <= lam_max(P G P)``
     for ``P = I - U U^T`` and any ``U`` (Courant-Fischer: ``P x = x`` for
     every ``x`` orthogonal to ``U``), which one Cholesky factorization of
-    ``c^2 I - P G P`` bounds below ``c^2``, the cut ``c`` shrunk by the
-    margin. The next route runs instead when ``err`` exceeds
-    ``5e-7 cut^2``, past which the margin cannot cover rounding; when, at
-    a check, more than 5 Ritz values reach the cut (the block of 10 is
-    saturated), the basis has lost orthonormality or the Cholesky
-    factorization fails; when the residuals of the kept Ritz pairs,
+    ``c^2 I - P G P``, by panels, in ``G``'s buffer bounds below ``c^2``,
+    the cut ``c`` shrunk by the margin. The next route runs instead when
+    ``err`` exceeds ``5e-7 cut^2``, past which the margin cannot cover
+    rounding; when, at a check, more than 5 Ritz values reach the cut (the
+    block of 10 is saturated), the basis has lost orthonormality or the
+    Cholesky factorization fails; when the residuals of the kept Ritz pairs,
     decaying at the rate seen between two checks, would still exceed their
     bound at the last step (a near-tie never meets it); or when the
     acceptance rule still refuses at the last check. A near-tie therefore
     costs time and never changes the answer.
 
     ``a`` is never written. The Krylov route's peak holds ``a``, ``G`` (in
-    whose buffer ``c^2 I - P G P`` is formed) and the Cholesky's two m x m
-    arrays: its copy of that matrix and the factor.
+    whose buffer ``c^2 I - P G P`` is formed and factored) and about one
+    panel of 512 rows: the basis, then the certificate's products.
     """
     a = as_matrix(a)
     tall = a.shape[0] > a.shape[1]
@@ -251,8 +256,8 @@ def _gram_cut(a: np.ndarray, cut: float, symmetric: bool):
 def _krylov(a: np.ndarray, g: np.ndarray, cut: float, err: float):
     """The Krylov route: block Krylov iteration on ``g = a a^T``; the
     accepted Ritz pairs as ``(U, U^T a)`` at the first check where they are
-    certified, else ``None``. The certificate spends ``g``; where it fails,
-    ``g`` is formed again, with the same bytes, for the Gram route."""
+    certified, else ``None``. The certificate spends ``g``, factoring in its
+    buffer; where it fails, ``g`` is formed again, with the same bytes."""
     m = g.shape[0]
     steps = min(_STEPS, m // (3 * _BLOCK) - 1)
     q = np.empty((m, _BLOCK * (steps + 1)), order="F")
@@ -336,14 +341,16 @@ def _due(then: int, was: float, now: int, excess: float) -> float:
 def _complement_below(g: np.ndarray, u: np.ndarray, cut: float) -> bool:
     """The certificate of the Krylov route: whether ``P g P``, for
     ``P = I - U U^T``, has every eigenvalue below ``c^2``, ``c`` the cut
-    shrunk by the margin. ``c^2 I - P g P`` is formed in ``g``'s own
-    buffer, which the caller hands over."""
+    shrunk by the margin. ``c^2 I - P g P`` is formed, and factored by
+    panels, in ``g``'s own buffer, which the caller hands over."""
     # P G P = G - U Z^T - Z U^T for Z = G U - U (U^T G U) / 2: one m x 2k x m
-    # product.
+    # product, subtracted from the lower triangle 512 rows at a time.
     gu = g @ u
     ugu = u.T @ gu
     z = gu - u @ ((ugu + ugu.T) / 4.0)
-    g -= np.concatenate([u, z], axis=1) @ np.concatenate([z, u], axis=1).T
+    left, right = np.concatenate([u, z], axis=1), np.concatenate([z, u], axis=1)
+    for r in range(0, len(g), _PANEL):
+        g[r:r + _PANEL, :r + _PANEL] -= left[r:r + _PANEL] @ right[:r + _PANEL].T
     return _norm_below(g, cut * (1.0 - _MARGIN))
 
 
@@ -371,15 +378,42 @@ def _accepted(a: np.ndarray, lam: np.ndarray, vectors: np.ndarray, cut: float, e
 def _norm_below(h: np.ndarray, c: float) -> bool:
     """Whether every eigenvalue of the symmetric ``h`` lies below ``c^2``,
     so ``||r|| < c`` for ``h = r r^T``: ``c > 0`` and one Cholesky
-    factorization of ``c^2 I - h`` completes. That matrix is formed in
-    ``h``'s own buffer, which the caller hands over."""
+    factorization of ``c^2 I - h``, by panels, in ``h``'s own buffer (which
+    the caller hands over) completes: ``numpy.linalg.cholesky`` of each
+    512-row diagonal block, substitution for the panel below it, whose outer
+    product leaves the trailing lower triangle. Like LAPACK's, it reads only
+    the lower triangle of ``h``, and the first block that fails decides."""
     np.negative(h, out=h)
     h[np.diag_indices_from(h)] += c * c
-    try:
-        np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return False
+    m = len(h)
+    for j in range(0, m, _PANEL):
+        end = min(j + _PANEL, m)
+        try:
+            lower = np.linalg.cholesky(h[j:end, j:end])
+        except np.linalg.LinAlgError:
+            return False
+        if end == m:
+            break
+        # Nothing reads rows j:end again: they hold y = lower^-1 h[end:, j:end]^T.
+        y = h[j:end].reshape(-1)[:_PANEL * (m - end)].reshape(_PANEL, m - end)
+        y[...] = h[end:, j:end].T
+        _substitute(lower, y)
+        for r in range(end, m, _PANEL):
+            top = min(r + _PANEL, m)
+            h[r:top, end:top] -= y[:, r - end:top - end].T @ y[:, :top - end]
     return c > 0
+
+
+def _substitute(lower: np.ndarray, y: np.ndarray) -> None:
+    """``y <- lower^-1 y`` in place, for a lower-triangular ``lower``: one
+    product per halving of ``lower``, one row division per leaf."""
+    if len(lower) == 1:
+        y /= lower[0, 0]
+        return
+    half = len(lower) // 2
+    _substitute(lower[:half, :half], y[:half])
+    y[half:] -= lower[half:, :half] @ y[:half]
+    _substitute(lower[half:, half:], y[half:])
 
 
 def _singular_values(a) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -312,6 +313,73 @@ def test_norm_below_decides_exact_spectra(case, scale):
     assert not _norm_below(proj @ a @ a.T @ proj, -2.0 * norm)
 
 
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """The ``numpy.linalg.cholesky`` calls made, as a list of the row count
+    of each block and whether its factorization completed."""
+    calls, cholesky = [], np.linalg.cholesky
+
+    def cholesky_spy(x):
+        try:
+            factor = cholesky(x)
+        except np.linalg.LinAlgError:
+            calls.append((len(x), False))
+            raise
+        calls.append((len(x), True))
+        return factor
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky_spy)
+    return calls
+
+
+@pytest.mark.parametrize("m", [512, 513, 1100, 1537])
+@pytest.mark.parametrize("scale", [1.0 - 1e-3, 1.0 + 1e-3])
+def test_norm_below_decides_exact_spectra_across_panels(m, scale, cholesky_calls):
+    # As above for h = Q diag(s^2) Q^T with norm 3, on 1 to 4 panels of 512
+    # rows: each diagonal block is factored on its own, and every block
+    # completes only where c lies above the norm.
+    q = np.linalg.qr(make_rng(m).standard_normal((m, m)))[0]
+    s = np.concatenate([[3.0, 2.9], np.linspace(2.5, 0.0, m - 2)])
+    assert _norm_below((q * s * s) @ q.T, 3.0 * scale) == (scale > 1.0)
+    panels = [min(512, m - j) for j in range(0, m, 512)]
+    if scale > 1.0:
+        assert cholesky_calls == [(rows, True) for rows in panels]
+    else:
+        assert cholesky_calls[-1][1] is False
+
+
+@pytest.mark.parametrize("pivot, failing_call", [(300, 0), (1099, 2)], ids=["first", "last"])
+def test_norm_below_stops_at_the_panel_of_the_negative_pivot(pivot, failing_call,
+                                                              cholesky_calls):
+    # c^2 I - h is definite but for one diagonal entry, 10 too large: its
+    # only negative pivot is that entry's, in the first or the last of three
+    # panels, and the factorization fails at that panel's block.
+    m = 1100
+    q = np.linalg.qr(make_rng(43).standard_normal((m, m)))[0]
+    h = (q * np.linspace(4.0, 0.0, m)) @ q.T
+    h[pivot, pivot] += 10.0
+    assert not _norm_below(h, 3.0)
+    assert cholesky_calls == [(512, True)] * failing_call + [([512, 512, 76][failing_call], False)]
+
+
+def test_norm_below_peak_memory():
+    # The factorization runs in h's own buffer: beyond h, the traced peak is
+    # a diagonal block's factor and the products of one panel, about a
+    # quarter of an m x m array. np.linalg.cholesky of the whole matrix
+    # traces its m x m factor, on top of LAPACK's untraced working copy.
+    m = 2048
+    h = make_rng(47).uniform(-1.0, 1.0, (m, m))
+    h = (h + h.T) / 2.0
+    tracemalloc.start()
+    try:
+        # Every row sum of |h| is below m, so every panel completes.
+        assert _norm_below(h, math.sqrt(2.0 * m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * m * m * 8
+
+
 def spectrum_input(dims, leading, bulk, seed, symmetric=False):
     """``(a, part)``: an ``m x n`` matrix whose singular values are
     ``leading`` followed by a bulk spread evenly over [0, ``bulk``]
@@ -557,10 +625,10 @@ def cholesky_fails(x):
 @pytest.mark.parametrize("dims, symmetric", [((600, 600), True), ((1000, 1040), False)],
                          ids=["symmetric", "general"])
 def test_krylov_route_peak_memory(dims, symmetric, full_decompositions, qr_calls):
-    # The certificate forms c^2 I - P G P in G's own buffer, so beyond the
-    # input the cut's traced peak is G and the Cholesky factor (LAPACK's
-    # working copy is not traced): about 2.1 m x m arrays. A buffer of the
-    # certificate's own would add a third.
+    # The certificate forms and factors c^2 I - P G P in G's own buffer, so
+    # beyond the input the cut's traced peak is G and the Krylov basis:
+    # about 1.7-1.9 m x m arrays. A buffer of the certificate's own would
+    # add a third.
     a = spectrum_input(dims, *SPECTRA["gap"], seed=11, symmetric=symmetric)[0]
     qr_calls.clear()
     tracemalloc.start()
@@ -584,6 +652,60 @@ def test_failed_certificate_leaves_gram_route_bytes(monkeypatch):
     expected, expected_k = thresholded_part(a, 5.0)
     assert k == expected_k == 3
     assert np.array_equal(part, expected)
+
+
+def test_certificate_failing_in_a_later_panel_leaves_gram_route_bytes(monkeypatch):
+    # As above, with the failure in the second panel's block, after the
+    # first panel has overwritten rows and columns of G.
+    a = spectrum_input((1000, 1040), *SPECTRA["gap"], seed=17)[0]
+    cholesky, calls = np.linalg.cholesky, []
+
+    def second_fails(x):
+        calls.append(len(x))
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("injected")
+        return cholesky(x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "cholesky", second_fails)
+        part, k = thresholded_part(a, 5.0)
+    assert calls == [512, 488]
+    monkeypatch.setattr(linalg_module, "_krylov", lambda *args: None)
+    expected, expected_k = thresholded_part(a, 5.0)
+    assert k == expected_k == 3
+    assert np.array_equal(part, expected)
+
+
+@pytest.mark.parametrize("guard", [True, False], ids=["err", "err-zero"])
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_gram_route_refused_within_its_rounding_of_the_cut(seed, guard, monkeypatch,
+                                                           full_decompositions):
+    # 350 singular values in [200, 400] cut make err = 2 (m + n) u ||a||_F^2
+    # about 5.9e-6 cut^2, and one more lies at cut (1 - 2.5e-6): its
+    # eigenvalue of a a^T is 5e-6 cut^2 from cut^2, within err, but it is no
+    # near-tie, and the kept residuals (about 7e-13) meet their bound (about
+    # 2e-8). Only the err guard refuses the Gram route's eigh, and the SVD
+    # decides; with err = 0 the eigh's pairs are accepted. (That eigh, of 400
+    # rows, is below the fixture's floor of 500.)
+    leading = np.concatenate([np.linspace(400.0, 200.0, 350), [1.0 - 2.5e-6]])
+    a = spectrum_input((400, 420), leading, 0.5, seed=seed)[0]
+    expected, expected_k = svd_oracle_part(a, 1.0)
+    accepted, outcomes = linalg_module._accepted, []
+
+    def accepted_spy(a, lam, vectors, cut, err, *basis):
+        found = accepted(a, lam, vectors, cut, err if guard else 0.0, *basis)
+        outcomes.append(found is not None)
+        return found
+
+    monkeypatch.setattr(linalg_module, "_accepted", accepted_spy)
+    part, k = thresholded_part(a, 1.0)
+    assert k == expected_k == 350
+    if guard:
+        assert outcomes == [False] and full_decompositions == ["svd"]
+        assert np.array_equal(part, expected)
+    else:
+        assert outcomes == [True] and full_decompositions == []
+        assert np.abs(part - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("dims, symmetric, fails, route", [
