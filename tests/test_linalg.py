@@ -656,7 +656,8 @@ def test_failed_certificate_leaves_gram_route_bytes(monkeypatch):
 
 def test_certificate_failing_in_a_later_panel_leaves_gram_route_bytes(monkeypatch):
     # As above, with the failure in the second panel's block, after the
-    # first panel has overwritten rows and columns of G.
+    # first panel has overwritten G's first 512 rows and the lower triangle
+    # below them.
     a = spectrum_input((1000, 1040), *SPECTRA["gap"], seed=17)[0]
     cholesky, calls = np.linalg.cholesky, []
 
