@@ -293,7 +293,7 @@ def denoise_error_constant(delta: float) -> float:
     delta -> 0. It is not monotone: its minimum, about 9.947, lies near
     delta = 1.62, and it rises only past that point.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValidationError("delta must be positive")
     return (4.0 + 2.0 * delta) * float(np.sqrt(2.0 / delta)) + float(np.sqrt(2.0 + delta))
 
@@ -313,7 +313,7 @@ def denoise_by_threshold(a, b, delta: float) -> np.ndarray:
     which is the engine behind the USVT guarantee: proximity in operator
     norm plus a nuclear-norm budget yields proximity entrywise.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValidationError("delta must be positive")
     a = as_matrix(a)
     b = as_matrix(b)

@@ -7,10 +7,11 @@ which is deterministic for a fixed input.
 
 :func:`thresholded_part`, the spectral cut of the estimator, keeps only the
 singular triplets at or above a cut. On all but small inputs it finds them
-as eigenpairs of the Gram matrix ``a a^T``: on large inputs by block Krylov
-iteration, stopped at the first step where its result is certified, on
-general ones by ``eigh``; and it falls back to the full ``svd`` or ``eigh``
-wherever neither can certify its result.
+as eigenpairs of the Gram matrix ``a a^T``: from 500 rows by block Krylov
+iteration, stopped at the first step where its result is certified; on
+general inputs too small for it, or that it does not certify, by ``eigh``;
+and it falls back to the full ``svd`` or ``eigh`` wherever neither can
+certify its result.
 """
 
 from __future__ import annotations
@@ -39,15 +40,13 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-10
 
 #: Smallest ``min(m, n)`` at which :func:`thresholded_part` tries the Krylov
-#: route on a symmetric input; below it ``eigh`` costs about as much.
+#: route, on symmetric and general inputs alike; below it ``eigh`` (of ``a``
+#: when symmetric, of ``a a^T`` when general) costs about as much.
 _PARTIAL_MIN_DIM = 500
 #: Smallest ``min(m, n)`` at which a general input is cut through its Gram
-#: matrix, and at which it tries the Krylov route first. Below the first the
-#: SVD costs about as much (and every smaller input keeps the SVD's bytes);
-#: below the second ``eigh`` of the Gram matrix is faster than the Krylov
-#: route.
+#: matrix; below it the SVD costs about as much, and every smaller input
+#: keeps the SVD's bytes.
 _GRAM_MIN_DIM = 64
-_GENERAL_PARTIAL_MIN_DIM = 1000
 #: Columns added to the Krylov basis per step; more than half of them at or
 #: above the cut saturates the block.
 _BLOCK = 10
@@ -152,17 +151,17 @@ def thresholded_part(a, cut: float, symmetric: bool = False) -> tuple[np.ndarray
     the part ``U (U^T a)``, or ``U sym(U^T a U) U^T`` when symmetric. Three
     routes give the same ``k`` and the same part up to rounding:
 
-    - *Krylov*, tried from ``m >= 500`` (symmetric) or ``m >= 1000``
-      (general): block Krylov iteration on ``G`` from a Gaussian start drawn
-      from ``make_rng(mix_seed(m, n))`` (so the same input always gives the
+    - *Krylov*, tried first from ``m >= 500``, whatever the kind of ``a``:
+      block Krylov iteration on ``G`` from a Gaussian start drawn from
+      ``make_rng(mix_seed(m, n))`` (so the same input always gives the
       same bytes) adds 10 orthonormal columns to its basis per step, for
       at most 40 steps and ``m / 3`` columns. Rayleigh-Ritz on the basis
       gives the Ritz pairs whose values reach ``cut^2``: at step 4, then
       4 steps on, or further where the residuals' decay so far says they
       meet their bound, and at the last step. The route returns at the
       first of these checks where the pairs are accepted and certified.
-    - *Gram*, for a general ``a`` that the Krylov route did not take or
-      certify: ``numpy.linalg.eigh`` of ``G``.
+    - *Gram*, for a general ``a`` of fewer than 500 rows, or that the
+      Krylov route did not certify: ``numpy.linalg.eigh`` of ``G``.
     - *Full*: :func:`svd`, or ``numpy.linalg.eigh`` of ``a`` when symmetric
       (never the Gram route), for smaller inputs and wherever the other
       routes cannot certify their result.
@@ -243,8 +242,7 @@ def _gram_cut(a: np.ndarray, cut: float, symmetric: bool):
     # higher-order terms and the rounding of the trace itself.
     err = 2.0 * (m + n) * (np.finfo(float).eps / 2.0) * float(np.trace(g))
     found = None
-    if (m >= (_PARTIAL_MIN_DIM if symmetric else _GENERAL_PARTIAL_MIN_DIM)
-            and err <= _MARGIN * cut * cut / 2.0):
+    if m >= _PARTIAL_MIN_DIM and err <= _MARGIN * cut * cut / 2.0:
         found = _krylov(a, g, cut, err)
     if found is None and not symmetric:
         lam, q = np.linalg.eigh(g)
@@ -441,7 +439,7 @@ def numerical_rank(a, tol: float = DEFAULT_RANK_TOL) -> int:
 
     Returns 0 for the zero matrix.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValidationError("tol must be nonnegative")
     s = _singular_values(a)
     return int((s > tol * s[0]).sum())

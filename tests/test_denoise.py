@@ -37,6 +37,10 @@ class TestConstant:
         with pytest.raises(ValidationError):
             denoise_error_constant(0.0)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError):
+            denoise_error_constant(math.nan)
+
 
 class TestDenoise:
     def test_equal_inputs_recovered_exactly(self):
@@ -67,6 +71,11 @@ class TestDenoise:
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValidationError):
             denoise_by_threshold(np.eye(2), np.eye(2), 0.0)
+
+    def test_rejects_nan_delta(self):
+        # A NaN delta would make the cut NaN, and no singular value reaches it.
+        with pytest.raises(ValidationError):
+            denoise_by_threshold(np.eye(2), np.eye(2), math.nan)
 
     @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
     def test_bound_small_perturbations(self, delta):

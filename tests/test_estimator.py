@@ -460,10 +460,9 @@ def paper_oracle(data):
     (ASYM, (500, 520)), (SYM, (500, 500)), (ASYM, (540, 500)),
 ], ids=["asym", "sym", "tall"])
 def test_large_estimate_matches_full_decomposition_oracle(mode, shape, monkeypatch):
-    # At n >= 500 a symmetric input takes the partial path and a general one
-    # the Gram route, one eigh of its 500 x 500 Gram matrix. With the full
-    # SVD made to raise and every other large eigh counted, each must still
-    # reproduce the oracle.
+    # At n >= 500 both kinds take the partial path, certified with no full
+    # decomposition. With the full SVD made to raise and every large eigh
+    # counted, each must still reproduce the oracle.
     rng = make_rng(43)
     u = rng.uniform(-1, 1, (shape[0], 3))
     v = u if mode is SYM else rng.uniform(-1, 1, (shape[1], 3))
@@ -488,7 +487,7 @@ def test_large_estimate_matches_full_decomposition_oracle(mode, shape, monkeypat
     monkeypatch.setattr("usvt.linalg.svd", no_svd)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     rep = usvt_estimate(data, EstimatorConfig(eta=0.01, mode=mode))
-    assert large_eighs == ([] if mode is SYM else [(500, 500)])
+    assert large_eighs == []
     assert rep.retained_rank == expected_rank == 3
     assert np.abs(rep.estimate - expected).max() <= 1e-10
 

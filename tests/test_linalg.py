@@ -9,6 +9,7 @@ import usvt.linalg as linalg_module
 from usvt.errors import ValidationError
 from usvt.estimator import MaskedMatrix, SymmetryMode, threshold_value
 from usvt.generators import bernoulli_mask, bernoulli_round, gen_blockmodel, gen_low_rank
+from usvt.harness import FAMILIES
 from usvt.linalg import (
     _norm_below,
     as_matrix,
@@ -139,6 +140,11 @@ class TestNumericalRank:
     def test_rejects_negative_tol(self):
         with pytest.raises(ValidationError):
             numerical_rank(np.eye(2), -1.0)
+
+    def test_rejects_nan_tol(self):
+        # No singular value exceeds a NaN cutoff, so the rank would read 0.
+        with pytest.raises(ValidationError):
+            numerical_rank(np.eye(2), math.nan)
 
 
 @settings(max_examples=40, deadline=None)
@@ -473,20 +479,56 @@ def test_thresholded_part_partial_path_or_full(case, shape, monkeypatch, full_de
     assert k == len(leading)
     assert np.abs(part - expected).max() <= 1e-10
     assert np.array_equal(thresholded_part(a, 5.0, symmetric=shape == "symmetric")[0], part)
-    # A symmetric input of 500 rows tries the partial path: only a clear gap
-    # with a working certificate skips the full eigh. A general one takes
-    # the Gram route, which needs no certificate and no block: only the
-    # near-tie sends it on to the SVD.
-    if shape == "symmetric":
-        route = [] if case == "gap" else ["eigh"]
+    # An input of 500 rows, of either kind, tries the partial path: only a
+    # clear gap with a working certificate skips the full decomposition.
+    # Otherwise a symmetric input takes the full eigh, and a general one the
+    # Gram route, which needs no certificate and no block: only the near-tie
+    # sends it on to the SVD.
+    if case == "gap":
+        route = []
+    elif shape == "symmetric":
+        route = ["eigh"]
     else:
         route = ["eigh", "svd"] if case == "near-tie" else ["eigh"]
     assert full_decompositions == route * 2
 
 
+@pytest.mark.parametrize("m", [499, 500])
+@pytest.mark.parametrize("symmetric", [False, True], ids=["general", "symmetric"])
+def test_krylov_route_is_tried_from_500_rows_for_both_kinds(symmetric, m, qr_calls):
+    # One cutoff: the Krylov route, the only caller of QR, is tried exactly
+    # when the shorter side has 500 rows or more, whatever the kind.
+    dims = (m, m) if symmetric else (m, m + 40)
+    a, expected = spectrum_input(dims, *SPECTRA["gap"], seed=23, symmetric=symmetric)
+    qr_calls.clear()
+    part, k = thresholded_part(a, 5.0, symmetric=symmetric)
+    assert k == 3
+    assert np.abs(part - expected).max() <= 1e-10
+    assert bool(qr_calls) == (m >= 500)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_krylov_route_certifies_the_sweeps_general_cell(seed, p, full_decompositions):
+    # The harness's rank-3 sign-noise lowrank input at n = 800, cut as the
+    # estimator cuts it: the sweep's largest general cells, where the kept
+    # singular values lie 1.3-1.9 times the cut. The Krylov route certifies
+    # them with no full decomposition.
+    n = 800
+    observe = FAMILIES["lowrank"].realize({"r": 3, "noise": "sign"}, n, mix_seed(seed, 1))
+    data = observe(p, mix_seed(seed, 2))[1]
+    y = np.where(data.mask, data.values, 0.0)
+    cut = threshold_value(n, data.observed_fraction(), 0.01)
+    part, k = thresholded_part(y, cut)
+    assert full_decompositions == []
+    expected, expected_k = svd_oracle_part(y, cut)
+    assert k == expected_k >= 1
+    assert np.abs(part - expected).max() <= 1e-10
+
+
 @pytest.mark.parametrize("m, n", [(70, 130), (450, 120), (300, 300)], ids=["wide", "tall", "square"])
 def test_gram_route_matches_svd_oracle(m, n, full_decompositions):
-    # Between 64 and 1000 rows a general input takes the Gram route.
+    # Between 64 and 500 rows a general input takes the Gram route.
     rng = make_rng(m + n)
     a = rng.uniform(-1, 1, (m, 4)) @ rng.uniform(-1, 1, (4, n)) + 0.2 * rng.uniform(-1, 1, (m, n))
     s = np.linalg.svd(a, compute_uv=False)
@@ -502,7 +544,8 @@ def test_gram_route_matches_svd_oracle(m, n, full_decompositions):
 def test_gram_route_on_weak_signal(full_decompositions):
     # A rank-3 truth seen through sign noise at n = 800 and p = 0.2, cut as
     # the estimator cuts it: the sweep's weakest large cell, where the
-    # largest singular values lie a few percent from the cut.
+    # largest singular values lie a few percent from the cut. The Krylov
+    # route gives up on it, and the Gram route decides.
     n, asym = 800, SymmetryMode.ASYMMETRIC
     truth = gen_low_rank(n, n, 3, 5)
     signs = 2.0 * bernoulli_round((truth + 1.0) / 2.0, asym, 6) - 1.0
@@ -593,7 +636,7 @@ def test_gram_route_falls_back_to_svd(leading, full_decompositions):
 @pytest.mark.parametrize("case", ["gap", "slow", "certificate fails"])
 def test_general_partial_path_falls_back_to_gram_route(case, monkeypatch, full_decompositions,
                                                        qr_calls):
-    # From 1000 rows a general input tries the partial path first; when it
+    # From 500 rows a general input tries the partial path first; when it
     # cannot certify, the Gram route runs, not the SVD.
     leading, bulk = SPECTRA.get(case, SPECTRA["gap"])
     a, expected = spectrum_input((1000, 1040), leading, bulk, seed=17)
@@ -712,18 +755,20 @@ def test_gram_route_refused_within_its_rounding_of_the_cut(seed, guard, monkeypa
 @pytest.mark.parametrize("dims, symmetric, fails, route", [
     ((40, 60), False, False, ["svd"]),
     ((300, 300), True, False, []),
-    ((600, 700), False, False, ["eigh"]),
-    ((700, 600), False, False, ["eigh"]),
+    ((400, 450), False, False, []),
+    ((450, 400), False, False, []),
     ((500, 500), True, False, []),
     ((1000, 1040), False, False, []),
+    ((700, 600), False, False, []),
     ((500, 500), True, True, ["eigh"]),
     ((1000, 1040), False, True, ["eigh"]),
-], ids=["svd", "eigh", "gram", "gram-tall", "krylov-symmetric", "krylov-general",
+], ids=["svd", "eigh", "gram", "gram-tall", "krylov-symmetric", "krylov-general", "krylov-tall",
         "certificate-fails-symmetric", "certificate-fails-general"])
 def test_thresholded_part_never_writes_its_input(dims, symmetric, fails, route, monkeypatch,
                                                  full_decompositions, qr_calls):
     # The estimator restores its baseline in the buffer of the matrix it
-    # cut, on the promise that the cut does not write it.
+    # cut, on the promise that the cut does not write it. (The Gram route's
+    # eigh, below 500 rows, is below the fixture's floor.)
     a = spectrum_input(dims, *SPECTRA["gap"], seed=37, symmetric=symmetric)[0]
     before = a.copy()
     qr_calls.clear()
@@ -732,7 +777,7 @@ def test_thresholded_part_never_writes_its_input(dims, symmetric, fails, route, 
     assert thresholded_part(a, 5.0, symmetric=symmetric)[1] == 3
     assert a.tobytes() == before.tobytes()
     assert full_decompositions == route
-    assert bool(qr_calls) == (min(dims) >= (500 if symmetric else 1000))
+    assert bool(qr_calls) == (min(dims) >= 500)
 
 
 @pytest.mark.parametrize("symmetric", [False, True], ids=["general", "symmetric"])
