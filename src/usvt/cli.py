@@ -4,13 +4,11 @@ Subcommands:
 
 - ``usvt estimate INPUT --out OUT.csv``: estimate the mean matrix of a
   CSV file with NA-marked missing entries.
-- ``usvt experiment --config SPEC.json --out PREFIX`` (or inline flags):
-  run a grid sweep and write PREFIX.json / PREFIX.csv reports.
+- ``usvt experiment --config SPEC.json --out PREFIX``: run the grid sweep
+  a JSON spec file describes and write PREFIX.json / PREFIX.csv reports.
 - ``usvt check --suite all``: run the property batteries.
 
-A flag that is not given is not passed, so the defaults live in the library,
-except the inline sweep's ``--n-grid 100`` and ``--p-grid 1.0``. Inline
-``experiment`` flags build the dict a ``--config`` file holds.
+A flag that is not given is not passed, so the defaults live in the library.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed or
 out-of-range input), 2 property failure, 3 I/O error.
@@ -69,19 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         "Run a grid sweep and write PREFIX.json and PREFIX.csv. The same spec and seed "
         "give byte-identical reports on the same numpy build at the same BLAS thread "
         "count; at another thread count the last digits of the errors may differ.")
-    exp.add_argument("--config", help="JSON ExperimentSpec file")
-    exp.add_argument("--model", help="model kind (inline alternative to --config)")
-    exp.add_argument("--model-param", action="append", metavar="KEY=VALUE",
-                     help="model parameter, repeatable; values parsed as JSON when possible, "
-                          "then typed by the model family")
-    exp.add_argument("--n-grid", type=int, nargs="+", help="matrix sizes")
-    exp.add_argument("--p-grid", type=float, nargs="+", help="observation probabilities")
-    exp.add_argument("--eta", type=float)
-    exp.add_argument("--sigma-sq", type=float)
-    exp.add_argument("--trials", type=int)
-    exp.add_argument("--seed", type=int)
-    exp.add_argument("--baseline-trivial", action="store_true",
-                     help="also score the observed matrix itself")
+    exp.add_argument("--config", required=True, help="JSON ExperimentSpec file")
     exp.add_argument("--out", required=True, help="report path prefix (writes .json and .csv)")
 
     chk = add_command("check", _cmd_check, "run property batteries")
@@ -98,35 +84,12 @@ def _cmd_estimate(input, out, **given) -> int:
     return 0
 
 
-def _parse_model_params(pairs) -> dict:
-    params = {}
-    for pair in pairs:
-        key, sep, raw = pair.partition("=")
-        if not sep:
-            raise ValidationError(f"--model-param expects KEY=VALUE, got {pair!r}")
+def _cmd_experiment(config, out) -> int:
+    with open(config, "r", encoding="utf-8") as fh:
         try:
-            params[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            params[key] = raw
-    return params
-
-
-def _cmd_experiment(out, config=None, model=None, **given) -> int:
-    if (config is None) == (model is None):
-        raise ValidationError("provide exactly one of --config or --model")
-    if config is not None:
-        if given:
-            flags = ", ".join("--" + name.replace("_", "-") for name in given)
-            raise ValidationError(f"--config takes no spec flags, got {flags}")
-        with open(config, "r", encoding="utf-8") as fh:
-            try:
-                d = json.load(fh)
-            except ValueError as exc:
-                raise ValidationError(f"{config} is not valid JSON: {exc}") from None
-    else:
-        params = _parse_model_params(given.pop("model_param", []))
-        d = {"model": {"kind": model, "params": params}, "n_grid": [100], "p_grid": [1.0],
-             **given}
+            d = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"{config} is not valid JSON: {exc}") from None
     spec = ExperimentSpec.from_dict(d)
     report = run_experiment(spec)
     write_report_json(report, out + ".json")

@@ -102,13 +102,23 @@ class Family:
     p as a :class:`MaskedMatrix` that carries the family's symmetry mode,
     ``bracket(prm, n, p)``, the rate bracket (``None``: nuclear-norm bracket
     of the first trial's truth), and ``clashes``, ``(message, test)`` pairs
-    rejecting parameters given together."""
+    rejecting the converted parameters a test holds for: a value out of
+    range, or parameters given together."""
 
     params: dict
     interval: tuple | None
     realize: Callable
     bracket: Callable | None = None
     clashes: tuple = ()
+
+
+# Range rules for ``Family.clashes``: parameter ``name``, if given, is >= 1 or in [0, 1].
+def _at_least_1(name):
+    return f"parameter {name!r} must be >= 1", lambda prm: prm.get(name, 1) < 1
+
+
+def _in_unit(name):
+    return f"parameter {name!r} must lie in [0, 1]", lambda prm: not 0 <= prm.get(name, 0) <= 1
 
 
 def _observe(mode: SymmetryMode, truth: np.ndarray, x: np.ndarray | None = None):
@@ -129,8 +139,6 @@ def _realize_lowrank(prm, n, model_seed):
 
 
 def _realize_blockmodel(prm, n, model_seed):
-    if prm["k"] < 1:
-        raise ValidationError(f"blockmodel parameter 'k' must be positive, got {prm['k']}")
     probs = prm["block_probs"]
     if probs is None:
         probs = np.full((prm["k"], prm["k"]), prm["out_prob"])
@@ -157,12 +165,12 @@ FAMILIES = {
     "zero": Family({}, None, lambda prm, n, seed: _observe(ASYM, np.zeros((n, n)))),
     "lowrank": Family(
         {"r": int, "noise": ("none", "sign")}, None, _realize_lowrank,
-        lambda prm, n, p: min(math.sqrt(prm["r"] / (n * p)), 1.0),
+        lambda prm, n, p: min(math.sqrt(prm["r"] / (n * p)), 1.0), (_at_least_1("r"),),
     ),
     "lowrank_adversary": Family(
         {"r": int}, None,
         lambda prm, n, seed: _observe(ASYM, gen_low_rank_adversary(n, n, prm["r"], seed)),
-        lambda prm, n, p: low_rank_lower_bound(n, prm["r"], p),
+        lambda prm, n, p: low_rank_lower_bound(n, prm["r"], p), (_at_least_1("r"),),
     ),
     "blockmodel": Family(
         {"k": int, "block_probs": None, "in_prob": 0.8, "out_prob": 0.2,
@@ -171,18 +179,19 @@ FAMILIES = {
         lambda prm, n, p: min(math.sqrt(prm["k"] / (n * p)), 1.0),
         (("parameter 'block_probs' excludes 'in_prob' and 'out_prob'",
           lambda prm: prm.get("block_probs") is not None
-          and {"in_prob", "out_prob"} & prm.keys()),),
+          and {"in_prob", "out_prob"} & prm.keys()),
+         _at_least_1("k"), _in_unit("in_prob"), _in_unit("out_prob")),
     ),
     "distance": Family(
         {"dim": 1, "metric": tuple(DISTANCE_METRICS)}, (0.0, 1.0),
         lambda prm, n, seed: _observe(SYM, gen_distance_matrix(
             uniform_points(n, prm["dim"], seed), prm["metric"])),
-        lambda prm, n, p: distance_bracket(n, p, prm["dim"]),
+        lambda prm, n, p: distance_bracket(n, p, prm["dim"]), (_at_least_1("dim"),),
     ),
     "latent": Family(
         {"dim": 1, "f": tuple(LATENT_CATALOG)}, None,
         lambda prm, n, seed: _observe(ASYM, gen_latent_space(n, prm["dim"], prm["f"], seed)),
-        lambda prm, n, p: lipschitz_latent_bracket(n, p, prm["dim"]),
+        lambda prm, n, p: lipschitz_latent_bracket(n, p, prm["dim"]), (_at_least_1("dim"),),
     ),
     "correlation": Family(
         {}, None, lambda prm, n, seed: _observe(SYM, gen_correlation_matrix(n, seed)),
@@ -198,12 +207,14 @@ FAMILIES = {
         (0.0, 1.0), _realize_bradley_terry,
         lambda prm, n, p: bradley_terry_bracket(n, p),
         (("parameter 'strengths' applies only to family 'parametric'",
-          lambda prm: prm.get("strengths") is not None and prm.get("family") != "parametric"),),
+          lambda prm: prm.get("strengths") is not None and prm.get("family") != "parametric"),
+         _at_least_1("games_per_pair")),
     ),
-    # Nuclear budget theta * n^{3/2}. The construction depends on p (and
-    # requires p < 1), so each observation builds its instance from the seed.
+    # Nuclear budget theta * n^{3/2}, at most the n^{3/2} the construction allows. It
+    # depends on p (and requires p < 1), so each observation builds its instance from the seed.
     "minimax": Family({"theta": float}, None, lambda prm, n, seed: lambda p, data_seed: _observe(
-        ASYM, gen_minimax_instance(n, n, prm["theta"] * n * math.sqrt(n), p, seed))(p, data_seed)),
+        ASYM, gen_minimax_instance(n, n, prm["theta"] * n * math.sqrt(n), p, seed))(p, data_seed),
+        clashes=(_in_unit("theta"),)),
 }
 
 MODEL_KINDS = tuple(FAMILIES)
@@ -226,13 +237,15 @@ class ModelSpec:
         bad = [f"unknown parameter {k!r}" for k in self.params if k not in family.params]
         bad += [f"missing parameter {k!r}" for k, v in family.params.items()
                 if isinstance(v, type) and k not in self.params]
-        bad += [message for message, clash in family.clashes if clash(self.params)]
         if bad:
             accepted = ", ".join(sorted(family.params)) or "none"
             raise ValidationError(f"{self.kind} model: {'; '.join(bad)}; accepted: {accepted}")
         object.__setattr__(self, "params", {
             k: _convert(f"{self.kind} parameter {k!r}", v, family.params[k])
             for k, v in self.params.items()})
+        bad = [message for message, clash in family.clashes if clash(self.params)]
+        if bad:
+            raise ValidationError(f"{self.kind} model: {'; '.join(bad)}")
 
     def settings(self) -> dict:
         """The parameters with the family's defaults filled in."""
@@ -262,8 +275,9 @@ def _check_keys(cls, d) -> None:
 def _convert(name, value, kind):
     """``value`` as ``kind``, or a :class:`ValidationError` naming field
     ``name``. ``kind`` is a type (int, float or bool) or a :class:`Family`
-    parameter kind. Only a bool is a bool, and an int field takes only an
-    integral value: ``2.5`` is rejected, not truncated."""
+    parameter kind. Only a bool is a bool, an int field takes only an
+    integral value (``2.5`` is rejected, not truncated), and a float field
+    only a finite one."""
     if kind is None:
         return value
     if isinstance(kind, tuple):
@@ -277,9 +291,11 @@ def _convert(name, value, kind):
         converted = kind(value)
         if kind is int and not isinstance(value, (int, str)) and converted != value:
             raise ValueError
-        return converted
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be {kind.__name__}, got {value!r}") from None
+    if kind is float and not math.isfinite(converted):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return converted
 
 
 def _convert_grid(name, values, kind):

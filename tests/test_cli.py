@@ -15,27 +15,38 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def write_config(tmp_path, config):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def experiment(tmp_path, capsys, config, out="r"):
+    """``usvt experiment`` on ``config`` written as a spec file."""
+    return run(["experiment", "--config", write_config(tmp_path, config),
+                "--out", str(tmp_path / out)], capsys)
+
+
 def test_experiment_inline_writes_reports(tmp_path, capsys):
-    out = tmp_path / "r"
-    code, stdout, _ = run(["experiment", "--model", "blockmodel", "--model-param", "k=2",
-                           "--n-grid", "16", "--p-grid", "1.0", "--out", str(out)], capsys)
+    code, stdout, _ = experiment(tmp_path, capsys, {
+        "model": {"kind": "blockmodel", "params": {"k": 2}}, "n_grid": [16], "p_grid": [1.0]})
     assert code == 0
     assert "1/1 cells completed" in stdout
     assert json.loads((tmp_path / "r.json").read_text())["spec"]["model"]["params"] == {"k": 2}
 
 
 def test_misspelled_model_param_exits_1(tmp_path, capsys):
-    code, _, err = run(["experiment", "--model", "blockmodel", "--model-param", "k=2",
-                        "--model-param", "in_porb=0.9", "--n-grid", "16",
-                        "--out", str(tmp_path / "r")], capsys)
+    code, _, err = experiment(tmp_path, capsys, {
+        "model": {"kind": "blockmodel", "params": {"k": 2, "in_porb": 0.9}}, "n_grid": [16],
+        "p_grid": [1.0]})
     assert code == 1
     assert "in_porb" in err
     assert not (tmp_path / "r.json").exists()
 
 
 def test_missing_required_model_param_exits_1(tmp_path, capsys):
-    code, _, err = run(["experiment", "--model", "lowrank", "--n-grid", "16",
-                        "--out", str(tmp_path / "r")], capsys)
+    code, _, err = experiment(tmp_path, capsys, {
+        "model": {"kind": "lowrank"}, "n_grid": [16], "p_grid": [1.0]})
     assert code == 1
     assert "'r'" in err
 
@@ -66,9 +77,11 @@ def test_malformed_config_exits_1(tmp_path, capsys, config, message):
 
 
 def test_workers_flag_is_gone(tmp_path, capsys):
-    code, _, _ = run(["experiment", "--model", "zero", "--n-grid", "8", "--workers", "2",
-                      "--out", str(tmp_path / "r")], capsys)
+    config = write_config(tmp_path, {"model": {"kind": "zero"}, "n_grid": [8], "p_grid": [1.0]})
+    code, _, err = run(["experiment", "--config", config, "--workers", "2",
+                        "--out", str(tmp_path / "r")], capsys)
     assert code == 1
+    assert "unrecognized arguments: --workers 2" in err
 
 
 def test_negative_control_exits_2(capsys):
@@ -78,49 +91,36 @@ def test_negative_control_exits_2(capsys):
 
 
 def test_unwritable_out_exits_3(tmp_path, capsys):
-    code, _, err = run(["experiment", "--model", "zero", "--n-grid", "8",
-                        "--out", str(tmp_path / "missing" / "r")], capsys)
+    code, _, err = experiment(tmp_path, capsys, {
+        "model": {"kind": "zero"}, "n_grid": [8], "p_grid": [1.0]}, out="missing/r")
     assert code == 3
     assert err.startswith("i/o error: ")
 
 
-def test_model_param_without_equals_exits_1(tmp_path, capsys):
-    code, _, err = run(["experiment", "--model", "blockmodel", "--model-param", "k2",
-                        "--n-grid", "8", "--out", str(tmp_path / "r")], capsys)
-    assert code == 1
-    assert "--model-param expects KEY=VALUE, got 'k2'" in err
-
-
 def test_model_param_that_is_not_json_passes_as_a_string(tmp_path, capsys):
-    code, _, _ = run(["experiment", "--model", "distance", "--model-param", "metric=manhattan",
-                      "--n-grid", "8", "--out", str(tmp_path / "r")], capsys)
+    code, _, _ = experiment(tmp_path, capsys, {
+        "model": {"kind": "distance", "params": {"metric": "manhattan"}}, "n_grid": [8],
+        "p_grid": [1.0]})
     assert code == 0
     params = json.loads((tmp_path / "r.json").read_text())["spec"]["model"]["params"]
     assert params == {"metric": "manhattan"}
 
 
-@pytest.mark.parametrize("flags", [[], ["--config", "spec.json", "--model", "zero"]],
-                         ids=["neither", "both"])
-def test_config_xor_model_exits_1(tmp_path, capsys, flags):
-    code, _, err = run(["experiment", *flags, "--out", str(tmp_path / "r")], capsys)
+def test_experiment_without_config_exits_1(tmp_path, capsys):
+    code, _, err = run(["experiment", "--out", str(tmp_path / "r")], capsys)
     assert code == 1
-    assert "provide exactly one of --config or --model" in err
+    assert "--config" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_failed_cell_is_printed(tmp_path, capsys):
-    code, stdout, _ = run(["experiment", "--model", "minimax", "--model-param", "theta=0.3",
-                           "--n-grid", "16", "--out", str(tmp_path / "r")], capsys)
+    code, stdout, _ = experiment(tmp_path, capsys, {
+        "model": {"kind": "minimax", "params": {"theta": 0.3}}, "n_grid": [16], "p_grid": [1.0]})
     assert code == 0
     assert stdout.splitlines() == [
         "n=16 p=1.0 FAILED: ValidationError: p must lie in (0, 1), got 1.0",
         f"wrote {tmp_path / 'r'}.json and {tmp_path / 'r'}.csv (0/1 cells completed)",
     ]
-
-
-def write_config(tmp_path, config):
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(config))
-    return str(path)
 
 
 @pytest.mark.parametrize("override, field", [
@@ -169,11 +169,32 @@ def write_config(tmp_path, config):
     ({"model": {"kind": "bradley_terry",
                 "params": {"family": "parametric", "strengths": [1.0] * 8}},
       "n_grid": [8, 4, 16]}, "parameter 'strengths' does not fit n = 4"),
+    # A float parameter must be finite: a NaN would fail every cell and then the report.
+    *[({"model": {"kind": kind, "params": params}}, f"parameter {name!r} must be finite")
+      for kind, params, name in [
+          ("minimax", {"theta": float("nan")}, "theta"),
+          ("minimax", {"theta": float("inf")}, "theta"),
+          ("blockmodel", {"k": 2, "in_prob": float("nan")}, "in_prob"),
+          ("blockmodel", {"k": 2, "out_prob": float("-inf")}, "out_prob"),
+      ]],
+    # Each family's ranges, checked before any cell runs.
+    *[({"model": {"kind": kind, "params": params}}, f"parameter {name!r} must {rule}")
+      for kind, params, name, rule in [
+          ("minimax", {"theta": 2.0}, "theta", "lie in [0, 1]"),
+          ("minimax", {"theta": -0.5}, "theta", "lie in [0, 1]"),
+          ("blockmodel", {"k": 0}, "k", "be >= 1"),
+          ("blockmodel", {"k": 2, "in_prob": 1.5}, "in_prob", "lie in [0, 1]"),
+          ("blockmodel", {"k": 2, "out_prob": -0.1}, "out_prob", "lie in [0, 1]"),
+          ("lowrank", {"r": 0}, "r", "be >= 1"),
+          ("lowrank_adversary", {"r": 0}, "r", "be >= 1"),
+          ("latent", {"dim": 0}, "dim", "be >= 1"),
+          ("distance", {"dim": 0}, "dim", "be >= 1"),
+          ("bradley_terry", {"games_per_pair": 0}, "games_per_pair", "be >= 1"),
+      ]],
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, override, field):
     config = {"model": {"kind": "zero"}, "n_grid": [8], "p_grid": [1.0], **override}
-    code, _, err = run(["experiment", "--config", write_config(tmp_path, config),
-                        "--out", str(tmp_path / "r")], capsys)
+    code, _, err = experiment(tmp_path, capsys, config)
     assert code == 1
     assert field in err
     assert not (tmp_path / "r.json").exists()
@@ -188,9 +209,11 @@ def test_config_that_is_not_json_exits_1(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+#: The flags of the removed inline sweep form: every spec value is set in the file.
 @pytest.mark.parametrize("flag", [
     ["--eta", "0.5"], ["--trials", "5"], ["--n-grid", "16"], ["--sigma-sq", "0.5"],
-    ["--model-param", "k=2"], ["--baseline-trivial"],
+    ["--model-param", "k=2"], ["--baseline-trivial"], ["--model", "zero"], ["--p-grid", "0.5"],
+    ["--seed", "3"],
 ])
 def test_spec_flag_beside_config_exits_1(tmp_path, capsys, flag):
     config = write_config(tmp_path, {"model": {"kind": "zero"}, "n_grid": [8], "p_grid": [1.0]})
@@ -199,25 +222,6 @@ def test_spec_flag_beside_config_exits_1(tmp_path, capsys, flag):
     assert code == 1
     assert flag[0] in err
     assert not (tmp_path / "r.json").exists()
-
-
-@pytest.mark.parametrize("flags, config", [
-    (["--model", "zero"], {"model": {"kind": "zero"}, "n_grid": [100], "p_grid": [1.0]}),
-    (["--model", "blockmodel", "--model-param", "k=2", "--model-param", "in_prob=0.7",
-      "--n-grid", "12", "16", "--p-grid", "0.5", "1.0", "--eta", "0.05", "--sigma-sq", "0.5",
-      "--trials", "2", "--seed", "3", "--baseline-trivial"],
-     {"model": {"kind": "blockmodel", "params": {"k": 2, "in_prob": 0.7}},
-      "n_grid": [12, 16], "p_grid": [0.5, 1.0], "eta": 0.05, "sigma_sq": 0.5, "trials": 2,
-      "seed": 3, "baseline_trivial": True}),
-])
-def test_inline_flags_match_config(tmp_path, capsys, flags, config):
-    inline, from_file = tmp_path / "inline", tmp_path / "file"
-    assert run(["experiment", *flags, "--out", str(inline)], capsys)[0] == 0
-    assert run(["experiment", "--config", write_config(tmp_path, config),
-                "--out", str(from_file)], capsys)[0] == 0
-    for suffix in (".json", ".csv"):
-        assert (tmp_path / f"inline{suffix}").read_bytes() == \
-            (tmp_path / f"file{suffix}").read_bytes()
 
 
 #: Parameters of each model kind for the pinned sweeps; minimax also needs
@@ -269,8 +273,7 @@ def test_report_bytes_pinned(tmp_path, capsys, kind):
     config = {"model": model, "n_grid": [12, 16, 20],
               "p_grid": _PINNED_SWEEPS[kind].get("p_grid", [0.5, 1.0]), "eta": 0.05,
               "sigma_sq": 0.5, "trials": 2, "seed": 3, "baseline_trivial": True}
-    code, _, _ = run(["experiment", "--config", write_config(tmp_path, config),
-                      "--out", str(tmp_path / "r")], capsys)
+    code, _, _ = experiment(tmp_path, capsys, config)
     assert code == 0
     digests = [hashlib.sha256((tmp_path / f"r.{ext}").read_bytes()).hexdigest()
                for ext in ("json", "csv")]

@@ -86,6 +86,14 @@ class TestSpecs:
         with pytest.raises(ValidationError, match="'theta'"):
             ModelSpec("minimax")
 
+    def test_out_of_range_param_rejected(self):
+        with pytest.raises(ValidationError, match="parameter 'k' must be >= 1"):
+            ModelSpec("blockmodel", {"k": -1})
+        # The ends of each range are in it.
+        ModelSpec("minimax", {"theta": 0.0})
+        ModelSpec("minimax", {"theta": 1.0})
+        ModelSpec("blockmodel", {"k": 1, "in_prob": 1.0, "out_prob": 0.0})
+
     def test_every_family_param_accepted(self):
         # Every default converts to itself, and every accepted name of every
         # name parameter runs a tiny cell.
@@ -163,7 +171,6 @@ class TestRunExperiment:
         cases = [
             # Rank 12 cannot be realized at n = 10; it can at n = 20.
             (ModelSpec("lowrank", {"r": 12}), (10, 20), "r=12"),
-            (ModelSpec("blockmodel", {"k": -1}), (10,), "'k'"),
             # The covering number of [0, 1]^300 at n = 4 is 16^300, beyond
             # the float range; at n = 2 it is 8^300, within it.
             (ModelSpec("distance", {"dim": 300}), (4, 2), "'dim'"),
