@@ -182,15 +182,16 @@ class RateFit:
 def rate_fit(ns, mses) -> RateFit:
     """Fit ``log(mse) = slope * log(n) + intercept``.
 
-    Needs at least three grid points and strictly positive errors. For
-    perfectly constant values the slope is 0 and r^2 is reported as 1.
+    Needs at least three grid points, of two sizes or more, and strictly
+    positive errors. For perfectly constant values the slope is 0 and r^2
+    is reported as 1.
     """
     ns = tuple(int(v) for v in ns)
     mses = tuple(float(v) for v in mses)
     if len(ns) != len(mses):
         raise ValidationError("ns and mses must have equal length")
-    if len(ns) < 3:
-        raise ValidationError("rate fit needs at least 3 grid points")
+    if len(ns) < 3 or len(set(ns)) < 2:
+        raise ValidationError("rate fit needs at least 3 grid points and 2 distinct sizes")
     if any(v <= 0 for v in mses):
         raise ValidationError("rate fit needs strictly positive mses")
     x = np.log(np.asarray(ns, dtype=float))

@@ -95,15 +95,14 @@ DEFAULT_ETA = 0.01
 class Family:
     """One model family: each accepted parameter with its kind (``int`` or
     ``float``: required; a tuple of names: one of them, the first by default;
-    ``None``: a structured value the generator checks; any other value: the
-    default, whose type is the kind), known value interval,
-    ``realize(prm, n, model_seed) -> observe``, which draws one model, with
-    ``observe(p, data_seed) -> (truth, data)`` its data seen at probability
-    p as a :class:`MaskedMatrix` that carries the family's symmetry mode,
-    ``bracket(prm, n, p)``, the rate bracket (``None``: nuclear-norm bracket
-    of the first trial's truth), and ``clashes``, ``(message, test)`` pairs
-    rejecting the converted parameters a test holds for: a value out of
-    range, or parameters given together."""
+    a bool, int or float: the default, whose type is the kind), known value
+    interval, ``realize(prm, n, model_seed) -> observe``, which draws one
+    model, with ``observe(p, data_seed) -> (truth, data)`` its data seen at
+    probability p as a :class:`MaskedMatrix` that carries the family's
+    symmetry mode, ``bracket(prm, n, p)``, the rate bracket (``None``:
+    nuclear-norm bracket of the first trial's truth), and ``clashes``,
+    ``(message, test)`` pairs rejecting the converted parameters a test
+    holds for: a value out of range."""
 
     params: dict
     interval: tuple | None
@@ -139,10 +138,8 @@ def _realize_lowrank(prm, n, model_seed):
 
 
 def _realize_blockmodel(prm, n, model_seed):
-    probs = prm["block_probs"]
-    if probs is None:
-        probs = np.full((prm["k"], prm["k"]), prm["out_prob"])
-        np.fill_diagonal(probs, prm["in_prob"])
+    probs = np.full((prm["k"], prm["k"]), prm["out_prob"])
+    np.fill_diagonal(probs, prm["in_prob"])
     truth, adjacency = gen_blockmodel(n, prm["k"], probs, model_seed)
 
     def observe(p, data_seed):
@@ -155,7 +152,7 @@ def _realize_blockmodel(prm, n, model_seed):
 
 def _realize_bradley_terry(prm, n, model_seed):
     # Pairs play with probability p: the tournament draw is the mask.
-    tm = gen_bradley_terry(n, model_seed, prm["family"], prm["strengths"])
+    tm = gen_bradley_terry(n, model_seed)
     return lambda p, data_seed: (
         tm.p, play_tournament(tm, p, prm["games_per_pair"], data_seed))
 
@@ -173,14 +170,10 @@ FAMILIES = {
         lambda prm, n, p: low_rank_lower_bound(n, prm["r"], p), (_at_least_1("r"),),
     ),
     "blockmodel": Family(
-        {"k": int, "block_probs": None, "in_prob": 0.8, "out_prob": 0.2,
-         "observe_diagonal": True},
+        {"k": int, "in_prob": 0.8, "out_prob": 0.2, "observe_diagonal": True},
         (0.0, 1.0), _realize_blockmodel,
         lambda prm, n, p: min(math.sqrt(prm["k"] / (n * p)), 1.0),
-        (("parameter 'block_probs' excludes 'in_prob' and 'out_prob'",
-          lambda prm: prm.get("block_probs") is not None
-          and {"in_prob", "out_prob"} & prm.keys()),
-         _at_least_1("k"), _in_unit("in_prob"), _in_unit("out_prob")),
+        (_at_least_1("k"), _in_unit("in_prob"), _in_unit("out_prob")),
     ),
     "distance": Family(
         {"dim": 1, "metric": tuple(DISTANCE_METRICS)}, (0.0, 1.0),
@@ -202,13 +195,8 @@ FAMILIES = {
         lambda prm, n, seed: _observe(SYM, *gen_graphon(n, prm["f"], seed)),
     ),
     "bradley_terry": Family(
-        {"family": ("nonparametric_monotone", "parametric"), "strengths": None,
-         "games_per_pair": 1},
-        (0.0, 1.0), _realize_bradley_terry,
-        lambda prm, n, p: bradley_terry_bracket(n, p),
-        (("parameter 'strengths' applies only to family 'parametric'",
-          lambda prm: prm.get("strengths") is not None and prm.get("family") != "parametric"),
-         _at_least_1("games_per_pair")),
+        {"games_per_pair": 1}, (0.0, 1.0), _realize_bradley_terry,
+        lambda prm, n, p: bradley_terry_bracket(n, p), (_at_least_1("games_per_pair"),),
     ),
     # Nuclear budget theta * n^{3/2}, at most the n^{3/2} the construction allows. It
     # depends on p (and requires p < 1), so each observation builds its instance from the seed.
@@ -278,8 +266,6 @@ def _convert(name, value, kind):
     parameter kind. Only a bool is a bool, an int field takes only an
     integral value (``2.5`` is rejected, not truncated), and a float field
     only a finite one."""
-    if kind is None:
-        return value
     if isinstance(kind, tuple):
         if value in kind:
             return value
@@ -301,14 +287,17 @@ def _convert(name, value, kind):
 def _convert_grid(name, values, kind):
     if not isinstance(values, (list, tuple)) or not values:
         raise ValidationError(f"{name} must be a nonempty list, got {values!r}")
-    return tuple(_convert(name, v, kind) for v in values)
+    grid = tuple(_convert(name, v, kind) for v in values)
+    if len(set(grid)) < len(grid):
+        raise ValidationError(f"{name} must not repeat a value, got {values!r}")
+    return grid
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Grid sweep description; see module docstring for seed semantics. Each
-    field is converted to its type (a grid must be a list); a value that does
-    not convert or is out of range raises :class:`ValidationError` naming it."""
+    field is converted to its type (a grid is a list of distinct values); a
+    bad or out-of-range value raises :class:`ValidationError` naming it."""
 
     model: ModelSpec
     n_grid: tuple
@@ -333,13 +322,6 @@ class ExperimentSpec:
             raise ValidationError("p_grid: observation probabilities must lie in [0, 1]")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
-        prm = self.model.params
-        if self.model.kind == "bradley_terry" and prm.get("family") == "parametric":
-            size = len(prm["strengths"]) if hasattr(prm.get("strengths"), "__len__") else None
-            misfit = [n for n in self.n_grid if n != size]
-            if misfit:
-                raise ValidationError(f"bradley_terry model: parameter 'strengths' does not fit "
-                                      f"n = {misfit[0]}")
         EstimatorConfig(eta=self.eta, sigma_sq=self.sigma_sq)
 
     def to_dict(self) -> dict:
@@ -354,8 +336,9 @@ class ExperimentSpec:
 @dataclass(frozen=True)
 class CellResult:
     """Aggregated results for one (n, p) grid cell. ``wall_time`` covers the
-    cell's observations, brackets, estimates and scores, not the model draws
-    its row of the grid shares; it is informational only, never serialized."""
+    cell's observations, estimates and scores (with a nuclear-norm bracket),
+    not its row's shared model draws or a family's bracket, which precede
+    them; it is informational only, never serialized."""
 
     n: int
     p: float
@@ -376,16 +359,15 @@ class ExperimentReport:
 
 
 def _trial(spec: ExperimentSpec, observe, i: int, t: int, p: float) -> tuple:
-    """Trial ``t`` of cell (``spec.n_grid[i]``, p): ``(bracket, mse, retained
-    rank, trivial mse)``. The bracket is trial 0's (the nuclear-norm bracket
-    of its truth where the family has none; none at p = 0), and the trivial
+    """Trial ``t`` of cell (``spec.n_grid[i]``, p): ``(nuclear bracket, mse,
+    retained rank, trivial mse)``. The bracket is that of trial 0's truth
+    where the family has none of its own and p > 0, else None; the trivial
     mse is None unless ``spec.baseline_trivial``."""
     family = FAMILIES[spec.model.kind]
     truth, data = observe(p, mix_seed(spec.seed, 2, i, t))
     bracket = None
-    if t == 0 and p > 0.0:
-        bracket = (nuclear_bracket(truth, p) if family.bracket is None
-                   else family.bracket(spec.model.settings(), spec.n_grid[i], p))
+    if t == 0 and p > 0.0 and family.bracket is None:
+        bracket = nuclear_bracket(truth, p)
     config = EstimatorConfig(eta=spec.eta, sigma_sq=spec.sigma_sq, interval=family.interval,
                              mode=data.mode)
     report, baseline = _usvt_and_baseline(data, config, spec.baseline_trivial)
@@ -394,20 +376,28 @@ def _trial(spec: ExperimentSpec, observe, i: int, t: int, p: float) -> tuple:
 
 
 def _sweep_size(spec: ExperimentSpec, i: int) -> list:
-    """The cells of ``spec.n_grid[i]`` in p-grid order. Each trial draws its
-    model once and observes it at every p whose cell has not failed: a cell
-    stops at its first :class:`ValidationError` or ``LinAlgError``."""
+    """The cells of ``spec.n_grid[i]`` in p-grid order. The family's brackets
+    come first; each trial then draws its model once and observes it at every
+    p whose cell has not failed. A cell stops at its first ValidationError or
+    LinAlgError: at its bracket, before any draw."""
+    family = FAMILIES[spec.model.kind]
     n = spec.n_grid[i]
     runs = [[] for _ in spec.p_grid]
+    brackets = [None] * len(spec.p_grid)
     failures = [None] * len(spec.p_grid)
     times = [0.0] * len(spec.p_grid)
+    for j, p in enumerate(spec.p_grid):
+        if family.bracket is not None and p > 0.0:
+            try:
+                brackets[j] = family.bracket(spec.model.settings(), n, p)
+            except (ValidationError, np.linalg.LinAlgError) as exc:
+                failures[j] = f"{type(exc).__name__}: {exc}"
     for t in range(spec.trials):
         if all(failures):
             break
         observe = None  # free the last model before the next is drawn
         try:
-            observe = FAMILIES[spec.model.kind].realize(
-                spec.model.settings(), n, mix_seed(spec.seed, 1, i, t))
+            observe = family.realize(spec.model.settings(), n, mix_seed(spec.seed, 1, i, t))
         except (ValidationError, np.linalg.LinAlgError) as exc:
             failures = [f or f"{type(exc).__name__}: {exc}" for f in failures]
         for j, p in enumerate(spec.p_grid):
@@ -419,14 +409,15 @@ def _sweep_size(spec: ExperimentSpec, i: int) -> list:
                     failures[j] = f"{type(exc).__name__}: {exc}"
                 times[j] += time.perf_counter() - start
     cells = []
-    for p, run, failure, wall in zip(spec.p_grid, runs, failures, times):
+    for p, run, bracket, failure, wall in zip(spec.p_grid, runs, brackets, failures, times):
         if failure is not None:
             cells.append(CellResult(n, p, None, None, None, None, None, failure, wall))
             continue
-        brackets, mses, ranks, trivial = zip(*run)
+        nuclear, mses, ranks, trivial = zip(*run)
         cells.append(CellResult(
             n=n, p=p, mean_mse=float(np.mean(mses)), std_mse=float(np.std(mses)),
-            mean_retained_rank=float(np.mean(ranks)), bracket=brackets[0],
+            mean_retained_rank=float(np.mean(ranks)),
+            bracket=nuclear[0] if family.bracket is None else bracket,
             trivial_mean_mse=None if trivial[0] is None else float(np.mean(trivial)),
             failure=None, wall_time=wall))
     return cells

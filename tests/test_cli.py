@@ -154,6 +154,8 @@ def test_failed_cell_is_printed(tmp_path, capsys):
           ("distance", {"metric": "cosine"}, "metric"),
           ("latent", {"f": "nope"}, "f"),
           ("graphon", {"f": "nope"}, "f"),
+          # The sweep's blockmodel is planted-partition and its Bradley-Terry
+          # model nonparametric: a block matrix, a family or strengths is unknown.
           ("bradley_terry", {"family": "elo"}, "family"),
           ("blockmodel", {"k": 2, "block_probs": [[0.5, 0.1], [0.1, 0.5]], "in_prob": 0.9},
            "block_probs"),
@@ -163,12 +165,10 @@ def test_failed_cell_is_printed(tmp_path, capsys):
           ("bradley_terry", {"family": "nonparametric_monotone", "strengths": [1.0, 2.0]},
            "strengths"),
       ]],
-    # A parametric strengths list fits one n: missing, or not of every n of the grid.
-    ({"model": {"kind": "bradley_terry", "params": {"family": "parametric"}}},
-     "parameter 'strengths' does not fit n = 8"),
-    ({"model": {"kind": "bradley_terry",
-                "params": {"family": "parametric", "strengths": [1.0] * 8}},
-      "n_grid": [8, 4, 16]}, "parameter 'strengths' does not fit n = 4"),
+    # A repeated grid value would fit a rate through equal sizes or write two
+    # columns under one rate-fit key.
+    ({"n_grid": [8, 8, 8]}, "n_grid"),
+    ({"n_grid": [8, 12, 16], "p_grid": [0.5, 0.5]}, "p_grid"),
     # A float parameter must be finite: a NaN would fail every cell and then the report.
     *[({"model": {"kind": kind, "params": params}}, f"parameter {name!r} must be finite")
       for kind, params, name in [
@@ -230,7 +230,7 @@ _PINNED_SWEEPS = {
     "zero": {},
     "lowrank": {"params": {"r": 2, "noise": "sign"}},
     "lowrank_adversary": {"params": {"r": 2}},
-    "blockmodel": {"params": {"k": 2, "block_probs": [[0.7, 0.2], [0.2, 0.6]]}},
+    "blockmodel": {"params": {"k": 2, "in_prob": 0.7, "out_prob": 0.2}},
     "distance": {"params": {"dim": 2}},
     "latent": {"params": {"f": "one_minus_l1", "dim": 2}},
     "correlation": {},
@@ -240,12 +240,12 @@ _PINNED_SWEEPS = {
 }
 
 #: sha256 of each kind's reports (JSON, CSV). The blockmodel pair was
-#: recorded at the commit before reports were built with
-#: dataclasses.asdict; the others at the commit before the generators
+#: recorded at the commit before the sweep's blockmodel lost its block
+#: matrix parameter; the others at the commit before the generators
 #: returned plain arrays (x86-64, numpy 2.4, OpenBLAS 0.3.31).
 _REPORT_DIGESTS = {
-    "blockmodel": ["124bea4fc7681880865fafce3e67eef26a8487765e72255114ad65209a2890a7",
-                   "ab739906ce2c3c87403f4f0255df13cf08e2097f2770585d31d44a492a383616"],
+    "blockmodel": ["4ce798bec45176b253c9c2cc72bfdb8672d76da22613f531d03970388940d5ee",
+                   "df464269ea1b5662dfc5381b928c32a5b059403cdc7058fa29f4795cd131147d"],
     "bradley_terry": ["320191e60ec4a9738610b75b7ef9a513528307acf9211eda2cd3b85335a906d0",
                       "868a10238fe7a20fc4d981e079da9a64b688274c7aeb66c9b610944f4f928970"],
     "correlation": ["5881b59904e0b039cf92ca5059db647aae515106d0cb5ea6201247b7cd695d73",

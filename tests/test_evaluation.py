@@ -221,6 +221,8 @@ class TestRateFit:
             rate_fit([10, 20, 30], [1.0, 0.0, 0.5])
         with pytest.raises(ValidationError):
             rate_fit([10, 20, 30], [1.0, 0.5])
+        with pytest.raises(ValidationError, match="2 distinct sizes"):
+            rate_fit([8, 8, 8], [0.3, 0.2, 0.1])
 
 
 def _eigvalsh_trial(n, dist, eta, trials, seed):

@@ -97,7 +97,6 @@ class TestSpecs:
     def test_every_family_param_accepted(self):
         # Every default converts to itself, and every accepted name of every
         # name parameter runs a tiny cell.
-        extra = {"parametric": {"strengths": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}}
         for kind, family in FAMILIES.items():
             required = {k: v(1) for k, v in family.params.items() if isinstance(v, type)}
             settings = ModelSpec(kind, required).settings()
@@ -105,12 +104,22 @@ class TestSpecs:
             names = [(k, name) for k, v in family.params.items() if isinstance(v, tuple)
                      for name in v]
             for key, name in names or [(None, None)]:
-                params = {**required, **({key: name} if key else {}), **extra.get(name, {})}
+                params = {**required, **({key: name} if key else {})}
                 spec = ExperimentSpec(model=ModelSpec(kind, params), n_grid=(6,),
                                       p_grid=(0.5,), seed=1)
                 failure = run_experiment(spec).cells[0].failure
                 assert failure is None, (kind, key, name, failure)
         assert MODEL_KINDS == tuple(FAMILIES)
+
+    def test_every_param_kind_is_checked(self):
+        # The spec converts and range-checks every model parameter before any
+        # cell runs: each is required (int or float), one of a tuple of names,
+        # or has a bool, int or float default whose type is its kind.
+        for kind, family in FAMILIES.items():
+            for name, spec in family.params.items():
+                names = isinstance(spec, tuple) and all(isinstance(v, str) for v in spec)
+                assert spec in (int, float) or names or type(spec) in (bool, int, float), \
+                    (kind, name, spec)
 
     def test_from_dict_rejects_unknown_keys(self):
         d = small_spec().to_dict()
@@ -262,6 +271,16 @@ class TestRunExperiment:
                               p_grid=(0.3, 0.6, 1.0), trials=2, seed=3)
         assert all(c.failure is None for c in run_experiment(spec).cells)
         assert len(calls) == 4
+
+    def test_failed_bracket_draws_no_model(self, monkeypatch):
+        # The covering number of [0, 1]^1000000 overflows at n = 2, so both
+        # cells fail at their bracket, before any point is drawn.
+        calls = []
+        monkeypatch.setattr("usvt.harness.uniform_points", lambda *args: calls.append(args))
+        spec = ExperimentSpec(model=ModelSpec("distance", {"dim": 1000000}), n_grid=(2,),
+                              p_grid=(0.5, 1.0), trials=2)
+        assert all("'dim'" in c.failure for c in run_experiment(spec).cells)
+        assert calls == []
 
     def test_cells_agree_across_blas_thread_counts(self):
         # Reports are byte-identical only at one BLAS thread count: from 300

@@ -38,8 +38,9 @@ import math
 
 import pytest
 
+from usvt.estimator import threshold_value
 from usvt.evaluation import rate_fit
-from usvt.harness import FAMILIES, ExperimentSpec, ModelSpec, run_experiment
+from usvt.harness import FAMILIES, ExperimentSpec, ModelSpec, report_to_dict, run_experiment
 
 N_GRID = (100, 200, 400)
 P = 0.5
@@ -95,3 +96,16 @@ def test_minimax_error_above_floor(theta):
     # One theta per construction of gen_minimax_instance at p = 0.5.
     for c in _cells("minimax", {"theta": theta}, trials=1):
         assert c.mean_mse >= 0.1 * min(theta / math.sqrt(P), theta * theta * c.n, 1.0), c
+
+
+def test_unit_variance_bound_is_the_universal_threshold():
+    # Sign noise has entry variance 1. With sigma_sq = 1, q_hat = p_hat
+    # exactly, so the cut is the universal one and so is every cell.
+    for n in range(1, 2000, 7):
+        for p in [i / 200 for i in range(201)]:
+            assert threshold_value(n, p, 0.01, 1.0) == threshold_value(n, p, 0.01)
+    cells = [report_to_dict(run_experiment(ExperimentSpec(
+        ModelSpec("lowrank", {"r": 3, "noise": "sign"}), (50, 100, 200), (0.1, 0.3, 0.5, 1.0),
+        sigma_sq=sigma_sq, trials=2, seed=5)))["cells"] for sigma_sq in (None, 1.0)]
+    assert all(c["failure"] is None for c in cells[0])
+    assert cells[0] == cells[1]
