@@ -65,11 +65,12 @@ def _check_interval(interval) -> tuple[float, float]:
 class MaskedMatrix:
     """Dense values plus a Boolean observation mask (True = observed).
 
-    In ``SYMMETRIC`` mode both values and mask must be exactly symmetric;
-    in ``SKEW_SYMMETRIC`` mode the mask must be symmetric while the values
-    carry whatever was recorded at each position (the skew structure lives
-    in the noise, not in the data). Values must be finite everywhere; those
-    at unobserved positions are ignored.
+    In ``SYMMETRIC`` mode the mask must be exactly symmetric, and so must
+    the values at observed positions; in ``SKEW_SYMMETRIC`` mode the mask
+    must be symmetric while the values carry whatever was recorded at each
+    position (the skew structure lives in the noise, not in the data).
+    Values must be finite everywhere; those at unobserved positions are
+    ignored.
     """
 
     values: np.ndarray
@@ -91,8 +92,16 @@ class MaskedMatrix:
                 raise ValidationError(f"{self.mode.value} mode requires a square matrix")
             if not np.array_equal(mask, mask.T):
                 raise ValidationError(f"{self.mode.value} mode requires a symmetric mask")
-            if self.mode is SymmetryMode.SYMMETRIC and not np.array_equal(values, values.T):
-                raise ValidationError("symmetric mode requires symmetric values")
+            if self.mode is SymmetryMode.SYMMETRIC:
+                # True where the pair agrees or the entry is unobserved.
+                agree = values == values.T
+                np.greater_equal(agree, mask, out=agree)
+                if not agree.all():
+                    i, j = np.unravel_index(np.argmin(agree), agree.shape)
+                    raise ValidationError(
+                        f"symmetric mode requires symmetric observed values; ({i}, {j}) holds "
+                        f"{float(values[i, j])!r} and ({j}, {i}) holds {float(values[j, i])!r}"
+                    )
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
 
@@ -198,9 +207,10 @@ def _normalise(data: MaskedMatrix, interval):
     # only an observed value can fall outside, and they map to zero.
     y = np.where(data.mask, data.values, mid)
     if y.min() < lo or y.max() > hi:
+        i, j = np.unravel_index(np.argmax((y < lo) | (y > hi)), y.shape)
         raise ValidationError(
-            f"observed values fall outside the declared interval [{lo}, {hi}]; "
-            "the error guarantee requires bounded entries"
+            f"observed values fall outside the declared interval [{lo}, {hi}], "
+            f"first at ({i}, {j}): {float(y[i, j])!r}; the error guarantee requires bounded entries"
         )
     y -= mid
     y /= (hi - lo) / 2.0

@@ -3,8 +3,9 @@
 One row per matrix row, comma-separated decimal literals. An optional
 header row carries generic column names. The reader takes the literal
 token ``NA`` as a missing entry; the writer writes fully observed
-matrices (estimates), so it never writes ``NA``. Floats are written with
-``repr``, so a write/read round trip reproduces every value exactly.
+matrices (estimates), so it never writes ``NA``. Each float is written as
+``repr`` writes it, by an exact vectorised path with ``repr`` as the
+per-entry fallback, so a write/read round trip reproduces every value.
 
 The reader parses each row in one pass; a row that pass cannot take (a
 wrong width, a non-finite value, a ``_`` or non-ASCII character, or a field
@@ -86,10 +87,129 @@ def _parse_row(line, lineno, width):
 
 def write_matrix_csv(path, values, header: bool = False) -> None:
     """Write a fully observed matrix with full round-trip precision, with a
-    ``c0,c1,...`` header row when ``header`` is set."""
+    ``c0,c1,...`` header row when ``header`` is set.
+
+    Each float is written as ``repr`` writes it, a block of rows at a time
+    (:func:`_format_rows`), so the whole text is never held."""
     values = as_matrix(values)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    rows = max(1, _BLOCK // values.shape[1])
+    with open(path, "wb") as fh:
         if header:
-            fh.write(",".join(f"c{j}" for j in range(values.shape[1])) + "\n")
-        for row in values:
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+            fh.write(",".join(f"c{j}" for j in range(values.shape[1])).encode() + b"\n")
+        for start in range(0, values.shape[0], rows):
+            fh.write(_format_rows(values[start:start + rows])[0])
+
+
+# Shortest round-trip digits by exact array arithmetic (Steele & White,
+# PLDI 1990; Adams, "Ryu", PLDI 2018) for the entries repr writes positionally.
+_BLOCK = 8192  # entries formatted at a time; bounds the writer's memory
+_POW10 = 10.0 ** np.arange(23)  # every one an exact double
+_I10 = 10 ** np.arange(18, dtype=np.int64)
+
+
+def _split(a):
+    """Veltkamp's split of ``a`` into halves of at most 26 bits."""
+    c = a * 134217729.0  # 2**27 + 1
+    head = c - (c - a)
+    return head, a - head
+
+
+_POW10_HEAD, _POW10_TAIL = _split(_POW10)
+
+
+def _scaled(a, s):
+    """``(d, r)``: the integer ``d`` nearest ``a * 10**s`` (the even one at
+    a tie) and ``r = a * 10**s - d``, exact wherever ``a * 10**s >= 2**53``."""
+    hi = a * _POW10[s]
+    ah, at = _split(a)
+    ph, pt = _POW10_HEAD[s], _POW10_TAIL[s]
+    lo = at * pt - (((hi - ah * ph) - at * ph) - ah * pt)  # Dekker: a * 10**s == hi + lo
+    j = np.rint(lo)  # from 2**53 up, hi is an even integer
+    return np.rint(hi).astype(np.int64) + j.astype(np.int64), lo - j
+
+
+def _shortest(a):
+    """For each ``a`` (1e-4 <= a < 1e16, not a power of two), repr's pick:
+    the nearest of the shortest decimals that read back as ``a`` (the
+    nearest k-digit one does if any does, as the rounding interval is
+    symmetric; at 17 digits a tie goes to the even one). Returns its 17
+    digits padded with zeros, its digit count ``k``, point position
+    ``decpt``, and ``unsure`` where a tie leaves the pick open."""
+    e = np.floor(np.log10(a)).astype(np.int64)
+    d, r = _scaled(a, 16 - e)
+    bad = np.flatnonzero((d < _I10[16]) | (d >= _I10[17]))
+    while bad.size:  # log10 can put e one off next to a power of ten
+        e[bad] += np.where(d[bad] < _I10[16], -1, 1)
+        d[bad], r[bad] = _scaled(a[bad], 16 - e[bad])
+        bad = bad[(d[bad] < _I10[16]) | (d[bad] >= _I10[17])]
+    unsure, k, best = np.zeros(a.shape, bool), np.full(a.shape, 17), d.copy()
+    live, dl, rl, el, al = np.arange(a.size), d, r, e, a
+    for n in range(16, 0, -1):
+        # dn, the integer nearest (d + r) / p, is floor((d + p/2 + r) / p).
+        p = _I10[17 - n]
+        dn = (dl + (p // 2 - (rl < 0))) // p
+        tie = (rl == 0) & (dn * p == dl + p // 2)
+        # One correctly rounded operation on exact doubles, as float()
+        # reads the decimal dn * 10**(e + 1 - n).
+        up = np.maximum(el + 1 - n, 0)
+        reads = dn * _POW10[up] / _POW10[n - 1 - el + up] == al
+        if n == 16:
+            # From 2**53 up, a's half-ulp exceeds half a unit of dn, so the
+            # nearest 16-digit decimal always reads back.
+            reads |= dn >= 2**53
+        unsure[live[tie & reads]] = True
+        keep = np.flatnonzero(reads & ~tie)
+        live, dl, rl, el, al = live[keep], dl[keep], rl[keep], el[keep], al[keep]
+        k[live] = n
+        best[live] = dn[keep]
+    # best < 10**k: 10**(e + 1) > a, and it reads back as a double >= itself.
+    return best * _I10[17 - k], k, e + 1, unsure
+
+
+def _layouts():
+    """For each (decpt, k), the mask ANDed into an entry's 40-byte slot:
+    separator, sign, ``0.`` and three zeros, then 17 digits, each after a
+    byte for the point; the slot holds 0xFF wherever the mask writes."""
+    t = np.zeros((20, 17, 40), np.uint8)
+    for decpt in range(-3, 17):
+        for k in range(1, 18):
+            row = t[decpt + 3, k - 1]
+            row[7:7 + 2 * max(k, decpt + 1):2] = 0xFF
+            if decpt <= 0:
+                row[2:4 - decpt] = np.frombuffer(b"0." + b"0" * -decpt, np.uint8)
+            else:
+                row[6 + 2 * decpt] = ord(".")
+    return t.reshape(340, 40).view("<u8").astype(np.uint64).T.copy()
+
+
+_LAYOUT = _layouts()
+_DIGIT_PAIRS = np.full((10000, 8), 0xFF, np.uint8)  # each 4-digit group
+_DIGIT_PAIRS[:, 1::2] = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+_DIGIT_PAIRS = _DIGIT_PAIRS.view("<u8").astype(np.uint64).ravel()
+
+
+def _format_rows(rows):
+    """The CSV lines of the 2-D float array ``rows`` as bytes, and the
+    number of entries formatted by ``repr`` itself: zeros, powers of two,
+    |x| outside [1e-4, 1e16), and the rare tie."""
+    x = rows.ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16) & (a.view(np.uint64) << 12 != 0)
+    digits, k, decpt, unsure = _shortest(np.where(fast, a, 1.5))
+    # Each entry's slot is 5 little-endian words, one per row of ``words``.
+    words = np.empty((5, x.size), np.uint64)
+    for i, p in enumerate(_I10[16::-4]):  # the leading digit, then 4-digit groups
+        group = digits // p
+        digits = digits - group * p
+        words[i] = _DIGIT_PAIRS[group]
+    words[0] = words[0] >> 56 << 56 | 0x00FFFFFFFFFF0000
+    words &= _LAYOUT.take((decpt + 3) * 17 + k - 1, axis=1)
+    words[0] |= np.signbit(x) * np.uint64(ord("-") << 8)
+    slow = np.flatnonzero(~fast | unsure)
+    text = "".join(["\0" + repr(v).ljust(39, "\0") for v in x[slow].tolist()])
+    words[:, slow] = np.frombuffer(text.encode(), "<u8").reshape(-1, 5).T
+    # The first byte of a slot separates it from the entry before.
+    words[0].reshape(rows.shape)[:, 1:] |= ord(",")
+    words[0, ::rows.shape[1]] |= ord("\n")
+    # Each line's text begins with its newline: move it to the end.
+    return words.T.astype("<u8").tobytes().translate(None, b"\0")[1:] + b"\n", slow.size

@@ -92,8 +92,16 @@ class TestMaskedMatrix:
 
     def test_symmetric_requires_symmetric_values(self):
         vals = np.array([[0.0, 1.0], [0.5, 0.0]])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"\(0, 1\) holds 1\.0 and \(1, 0\) holds 0\.5"):
             MaskedMatrix(vals, full_mask((2, 2)), SYM)
+
+    def test_symmetric_ignores_unobserved_values(self):
+        mask = np.array([[True, False], [False, True]])
+        config = EstimatorConfig(eta=0.01, mode=SYM)
+        data = MaskedMatrix([[1.0, 0.3], [0.7, 1.0]], mask, SYM)
+        equal = MaskedMatrix([[1.0, 0.3], [0.3, 1.0]], mask, SYM)
+        assert np.array_equal(usvt_estimate(data, config).estimate,
+                              usvt_estimate(equal, config).estimate)
 
     def test_skew_allows_asymmetric_values(self):
         vals = np.array([[0.0, 0.8], [0.2, 0.0]])
@@ -195,6 +203,16 @@ class TestUsvtEstimate:
         data = MaskedMatrix(np.full((3, 3), 2.0), full_mask((3, 3)))
         with pytest.raises(ValidationError):
             usvt_estimate(data, EstimatorConfig(eta=0.01))
+
+    def test_out_of_interval_error_names_the_first_observed_entry(self):
+        values = np.zeros((3, 3))
+        values[0, 2] = 9.0  # unobserved, so ignored
+        values[1, 0], values[2, 1] = -1.5, 2.0
+        mask = full_mask((3, 3))
+        mask[0, 2] = False
+        message = r"interval \[-1\.0, 1\.0\], first at \(1, 0\): -1\.5;"
+        with pytest.raises(ValidationError, match=message):
+            usvt_estimate(MaskedMatrix(values, mask), EstimatorConfig(eta=0.01))
 
     def test_unobserved_out_of_range_ignored(self):
         values = np.array([[0.5, 9.0], [0.1, 0.2]])

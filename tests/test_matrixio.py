@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from usvt.errors import MatrixFormatError
-from usvt.matrixio import NA_TOKEN, read_matrix_csv, write_matrix_csv
+from usvt.generators import gen_low_rank
+from usvt.matrixio import NA_TOKEN, _format_rows, read_matrix_csv, write_matrix_csv
 from usvt.rng import make_rng
 
 
@@ -244,3 +248,79 @@ def test_reader_matches_reference_cases(tmp_path, text, header):
     path.write_bytes(text.encode("utf-8"))
     assert (_outcome(read_matrix_csv, path, header)
             == _outcome(_reference_read, path, header))
+
+
+def _repr_text(values):
+    """The text the writer must produce: each entry as ``repr`` writes it."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in values.tolist()).encode()
+
+
+def _ulp_neighbours(values, steps=3):
+    """``values`` and their neighbours up to ``steps`` ulps either side."""
+    out = [values]
+    for direction in (np.inf, -np.inf):
+        v = values
+        for _ in range(steps):
+            v = np.nextafter(v, direction)
+            out.append(v)
+    return np.concatenate(out)
+
+
+def _fixed_families():
+    """Seeded doubles at and next to the edges of the writer's exact path."""
+    rng = make_rng(23)
+    short = np.array([round(v, int(d)) for v, d in zip(
+        rng.uniform(-1, 1, 2000) * 10.0 ** rng.integers(-4, 16, 2000), rng.integers(0, 8, 2000))])
+    lo, hi = np.array([1e-4, 1e16]).view(np.int64)
+    return {
+        "powers of two": 2.0 ** np.arange(-20, 61),
+        "powers of ten": _ulp_neighbours(10.0 ** np.arange(-6, 18)),
+        "short decimals": _ulp_neighbours(short),
+        "integers": np.concatenate([2.0**53 + np.arange(-40, 41), 1e16 + np.arange(-40, 41)]),
+        "1e-4": _ulp_neighbours(np.array([1e-4, -1e-4])),
+        "zeros": np.array([0.0, -0.0]),
+        "fast-path bits": rng.integers(lo, hi, 200_000).view(np.float64)
+                          * rng.choice([-1, 1], 200_000),
+    }
+
+
+_FAMILIES = _fixed_families()
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_written_bytes_equal_repr(tmp_path, family):
+    values = _FAMILIES[family]
+    width = min(40, values.size)
+    values = values[: values.size - values.size % width].reshape(-1, width)
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, values)
+    assert path.read_bytes() == _repr_text(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 12)),
+              elements=st.floats(allow_nan=False, allow_infinity=False,
+                                allow_subnormal=True)))
+def test_written_bytes_equal_repr_any_double(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("repr") / "m.csv"
+    write_matrix_csv(path, values)
+    assert path.read_bytes() == _repr_text(values)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_few_entries_go_to_repr(seed):
+    values = gen_low_rank(400, 400, 5, seed)
+    text, slow = _format_rows(values)
+    assert text == _repr_text(values)
+    assert slow <= 0.05 * values.size
+
+
+def test_writer_memory_is_bounded(tmp_path):
+    values = make_rng(4).uniform(-1, 1, (1000, 1000))
+    tracemalloc.start()
+    try:
+        write_matrix_csv(tmp_path / "m.csv", values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
