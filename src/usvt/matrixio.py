@@ -86,11 +86,9 @@ def _parse_row(line, lineno, width):
 
 
 def write_matrix_csv(path, values, header: bool = False) -> None:
-    """Write a fully observed matrix with full round-trip precision, with a
-    ``c0,c1,...`` header row when ``header`` is set.
-
-    Each float is written as ``repr`` writes it, a block of rows at a time
-    (:func:`_format_rows`), so the whole text is never held."""
+    """Write a fully observed matrix, each float as ``repr`` writes it (so it
+    reads back exactly), a block of rows at a time (:func:`_format_rows`),
+    with a ``c0,c1,...`` header row when ``header`` is set."""
     values = as_matrix(values)
     rows = max(1, _BLOCK // values.shape[1])
     with open(path, "wb") as fh:
@@ -112,9 +110,6 @@ def _split(a):
     c = a * 134217729.0  # 2**27 + 1
     head = c - (c - a)
     return head, a - head
-
-
-_POW10_HEAD, _POW10_TAIL = _split(_POW10)
 
 
 def _scaled(a, s):
@@ -149,8 +144,7 @@ def _shortest(a):
         p = _I10[17 - n]
         dn = (dl + (p // 2 - (rl < 0))) // p
         tie = (rl == 0) & (dn * p == dl + p // 2)
-        # One correctly rounded operation on exact doubles, as float()
-        # reads the decimal dn * 10**(e + 1 - n).
+        # float(dn * 10**(e + 1 - n)), one correctly rounded operation on exact doubles.
         up = np.maximum(el + 1 - n, 0)
         reads = dn * _POW10[up] / _POW10[n - 1 - el + up] == al
         if n == 16:
@@ -182,6 +176,7 @@ def _layouts():
     return t.reshape(340, 40).view("<u8").astype(np.uint64).T.copy()
 
 
+_POW10_HEAD, _POW10_TAIL = _split(_POW10)
 _LAYOUT = _layouts()
 _DIGIT_PAIRS = np.full((10000, 8), 0xFF, np.uint8)  # each 4-digit group
 _DIGIT_PAIRS[:, 1::2] = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
@@ -190,12 +185,17 @@ _DIGIT_PAIRS = _DIGIT_PAIRS.view("<u8").astype(np.uint64).ravel()
 
 def _format_rows(rows):
     """The CSV lines of the 2-D float array ``rows`` as bytes, and the
-    number of entries formatted by ``repr`` itself: zeros, powers of two,
+    number of entries formatted by ``repr`` itself: powers of two, nonzero
     |x| outside [1e-4, 1e16), and the rare tie."""
     x = rows.ravel()
     a = np.abs(x)
-    fast = (a >= 1e-4) & (a < 1e16) & (a.view(np.uint64) << 12 != 0)
-    digits, k, decpt, unsure = _shortest(np.where(fast, a, 1.5))
+    fast = np.flatnonzero((a >= 1e-4) & (a < 1e16) & (a.view(np.uint64) << 12 != 0))
+    digits, key = np.zeros(x.size, np.int64), np.full(x.size, 4 * 17)  # zeros: "0.0"
+    digits[fast], k, decpt, unsure = _shortest(a[fast])
+    key[fast] = (decpt + 3) * 17 + k - 1
+    slow = a != 0
+    slow[fast[~unsure]] = False
+    slow = np.flatnonzero(slow)
     # Each entry's slot is 5 little-endian words, one per row of ``words``.
     words = np.empty((5, x.size), np.uint64)
     for i, p in enumerate(_I10[16::-4]):  # the leading digit, then 4-digit groups
@@ -203,11 +203,11 @@ def _format_rows(rows):
         digits = digits - group * p
         words[i] = _DIGIT_PAIRS[group]
     words[0] = words[0] >> 56 << 56 | 0x00FFFFFFFFFF0000
-    words &= _LAYOUT.take((decpt + 3) * 17 + k - 1, axis=1)
+    words &= _LAYOUT.take(key, axis=1)
     words[0] |= np.signbit(x) * np.uint64(ord("-") << 8)
-    slow = np.flatnonzero(~fast | unsure)
-    text = "".join(["\0" + repr(v).ljust(39, "\0") for v in x[slow].tolist()])
-    words[:, slow] = np.frombuffer(text.encode(), "<u8").reshape(-1, 5).T
+    patch = np.zeros((slow.size, 40), np.uint8)
+    patch[:, 1:] = np.array([repr(v) for v in x[slow].tolist()], "S39").view("u1").reshape(-1, 39)
+    words[:, slow] = patch.view("<u8").T
     # The first byte of a slot separates it from the entry before.
     words[0].reshape(rows.shape)[:, 1:] |= ord(",")
     words[0, ::rows.shape[1]] |= ord("\n")
