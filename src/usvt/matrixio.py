@@ -7,13 +7,21 @@ matrices (estimates), so it never writes ``NA``. Each float is written as
 ``repr`` writes it, by an exact vectorised path with ``repr`` as the
 per-entry fallback, so a write/read round trip reproduces every value.
 
-The reader parses each row in one pass; a row that pass cannot take (a
-wrong width, a non-finite value, a ``_`` or non-ASCII character, or a field
-``float`` rejects, as ``NA`` with spaces does) is checked field by field,
-stripped, in file order, and accepted or reported as its first fault.
+The reader takes UTF-8 text with universal newlines, and reports the
+line of the first byte that is not UTF-8. A body of plain fields (the
+bytes ``0-9 . e E + - ,``, newlines and whole ``NA`` fields) is parsed in
+one call of numpy's text parser. Any other body, and a plain one that
+parser rejects or that overflows, goes to the per-row path, the only one
+that reports a malformed row: each row is parsed in one pass; a row that
+pass cannot take (a wrong width, a non-finite value, a ``_`` or non-ASCII
+character, or a field ``float`` rejects, as ``NA`` with spaces does) is
+checked field by field, stripped, in file order, and accepted or reported
+as its first fault.
 """
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 
@@ -32,8 +40,17 @@ def read_matrix_csv(path, header: bool = False):
     carry value 0.0. Malformed content raises :class:`MatrixFormatError`
     with the offending 1-based line number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    with open(path, "rb") as fh:  # newlines as text mode reads them
+        raw = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        raw.decode("utf-8")  # decoded again only for the per-row path
+    except UnicodeDecodeError as err:
+        raise MatrixFormatError(f"not UTF-8: byte 0x{raw[err.start]:02x}",
+                                line=raw.count(b"\n", 0, err.start) + 1) from None
+    plain = _read_plain(raw.partition(b"\n")[2] if header else raw)
+    if plain is not None:
+        return plain
+    lines = raw.decode("utf-8").split("\n")
     # Drop a single trailing newline artifact, keep interior blank lines
     # so they are reported as errors at the right place.
     if lines and lines[-1] == "":
@@ -48,6 +65,32 @@ def read_matrix_csv(path, header: bool = False):
     for i, line in enumerate(data_lines):
         if "_" in line or not line.isascii() or not _fill(line.split(","), values[i], mask[i]):
             _fill(_parse_row(line, start + i, width), values[i], mask[i])
+    return values, mask
+
+
+def _read_plain(body):
+    """``(values, mask)`` of a body of plain fields, or None where the
+    per-row path must read it."""
+    if not body or body.translate(None, b"0123456789.eE+-,\nNA"):
+        return None
+    # A blank line (loadtxt skips it), or an N that does not start a field:
+    # loadtxt reads -nan and +nan as NaN, and rejects any other field that
+    # holds more than nan.
+    c = np.frombuffer(body, np.uint8)
+    inner_n = c[1:] == 78
+    inner_n &= c[:-1] != 44
+    inner_n &= c[:-1] != 10
+    if body[:1] == b"\n" or b"\n\n" in body or inner_n.any():
+        return None
+    try:
+        values = np.loadtxt(io.BytesIO(body.replace(b"NA", b"nan")), delimiter=",",
+                            comments=None, ndmin=2)
+    except ValueError:  # a ragged row or a field float rejects
+        return None
+    if np.isinf(values).any():  # an overflow such as 1e400
+        return None
+    mask = ~np.isnan(values)
+    values[~mask] = 0.0
     return values, mask
 
 
@@ -124,11 +167,12 @@ def _scaled(a, s):
 
 
 def _shortest(a):
-    """For each ``a`` (1e-4 <= a < 1e16, not a power of two), repr's pick:
-    the nearest of the shortest decimals that read back as ``a`` (the
-    nearest k-digit one does if any does, as the rounding interval is
-    symmetric; at 17 digits a tie goes to the even one). Returns its 17
-    digits padded with zeros, its digit count ``k``, point position
+    """For each ``a`` (1e-4 <= a < 1e16), repr's pick: the nearest of the
+    shortest decimals that read back as ``a`` (the nearest k-digit one does
+    if any does, as the rounding interval is symmetric; a power of two,
+    where it is not, is in this range a decimal of at most 16 digits, which
+    the descent finds; at 17 digits a tie goes to the even one). Returns its
+    17 digits padded with zeros, its digit count ``k``, point position
     ``decpt``, and ``unsure`` where a tie leaves the pick open."""
     e = np.floor(np.log10(a)).astype(np.int64)
     d, r = _scaled(a, 16 - e)
@@ -138,8 +182,21 @@ def _shortest(a):
         d[bad], r[bad] = _scaled(a[bad], 16 - e[bad])
         bad = bad[(d[bad] < _I10[16]) | (d[bad] >= _I10[17])]
     unsure, k, best = np.zeros(a.shape, bool), np.full(a.shape, 17), d.copy()
-    live, dl, rl, el, al = np.arange(a.size), d, r, e, a
+    # Where a is itself a decimal of k <= 15 digits, that is repr's pick: a
+    # decimal of fewer digits is at least 10**(e + 1 - k) >= 10**(e - 14)
+    # away, more than half an ulp (under 1.2 * 10**(e - 15)).
+    exact = (r == 0) & (d % 100 == 0)
+    short, live = np.flatnonzero(exact), np.flatnonzero(~exact)
+    ds = d[short]
+    for t in (16, 8, 4, 2, 1):  # strip its trailing zeros
+        zero = ds % _I10[t] == 0
+        ds[zero] //= _I10[t]
+        k[short[zero]] -= t
+    best[short] = ds
+    dl, rl, el, al = d[live], r[live], e[live], a[live]
     for n in range(16, 0, -1):
+        if not live.size:
+            break
         # dn, the integer nearest (d + r) / p, is floor((d + p/2 + r) / p).
         p = _I10[17 - n]
         dn = (dl + (p // 2 - (rl < 0))) // p
@@ -185,11 +242,11 @@ _DIGIT_PAIRS = _DIGIT_PAIRS.view("<u8").astype(np.uint64).ravel()
 
 def _format_rows(rows):
     """The CSV lines of the 2-D float array ``rows`` as bytes, and the
-    number of entries formatted by ``repr`` itself: powers of two, nonzero
-    |x| outside [1e-4, 1e16), and the rare tie."""
+    number of entries formatted by ``repr`` itself: nonzero |x| outside
+    [1e-4, 1e16), and the rare tie."""
     x = rows.ravel()
     a = np.abs(x)
-    fast = np.flatnonzero((a >= 1e-4) & (a < 1e16) & (a.view(np.uint64) << 12 != 0))
+    fast = np.flatnonzero((a >= 1e-4) & (a < 1e16))
     digits, key = np.zeros(x.size, np.int64), np.full(x.size, 4 * 17)  # zeros: "0.0"
     digits[fast], k, decpt, unsure = _shortest(a[fast])
     key[fast] = (decpt + 3) * 17 + k - 1

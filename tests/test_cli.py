@@ -303,6 +303,15 @@ def test_estimate_bad_mode_exits_1(tmp_path, capsys):
     assert not (tmp_path / "e.csv").exists()
 
 
+def test_estimate_non_utf8_input_exits_1(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"1.0,\xff\n")
+    code, _, err = run(["estimate", str(path), "--out", str(tmp_path / "e.csv")], capsys)
+    assert code == 1
+    assert err == "error: line 1: not UTF-8: byte 0xff\n"
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_estimate_command_bytes_pinned(tmp_path, capsys):
     # sha256 of the estimate CSV, the --report JSON and stdout, recorded
     # before write_matrix_csv lost its mask argument (x86-64, numpy 2.4,

@@ -175,7 +175,8 @@ _FAULTS = st.one_of(
     st.just(("trailing comma",)),
     st.tuples(st.just("blank line"), st.sampled_from(["", " ", "\t"])),
     st.tuples(st.just("token"), st.sampled_from(
-        ["oops", "", "na", "N A", "NA NA", "1,5", "0x10", "--1", "1e", "\u00a0NA"])),
+        ["oops", "", "na", "N A", "NA NA", "1,5", "0x10", "--1", "1e", "\u00a0NA",
+         "-NA", "+NA", "NA-", "1NA", "NAN", "\n"])),
     st.tuples(st.just("token"), st.sampled_from(
         ["inf", "-inf", "nan", "NaN", "Infinity", "1e400", "-1e999"])),
 )
@@ -217,6 +218,85 @@ def test_reader_matches_reference(tmp_path_factory, case):
             == _outcome(_reference_read, path, header))
 
 
+_PLAIN_NUMBER = st.one_of(
+    st.just(NA_TOKEN),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["+.5", "1.", "-0", "2E5", "1e-3", "1e400", "-1e999", "0e0"]),
+)
+
+
+@st.composite
+def _plain_cases(draw):
+    """Files of the bytes the one-pass parse takes (digits, signs, ``.``,
+    ``e``, ``E``, ``NA``, commas and newlines), valid or with one fault."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    cells = [[draw(_PLAIN_NUMBER) for _ in range(cols)] for _ in range(rows)]
+    fault = draw(st.sampled_from([None, None, "token", "blank line", "trailing comma"]))
+    if fault == "token":
+        cells[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(
+            st.text("0123456789.eE+-NA", max_size=5))
+    elif fault == "trailing comma":
+        cells[draw(st.integers(0, rows - 1))].append("")
+    lines = [",".join(row) for row in cells]
+    if fault == "blank line":
+        lines.insert(draw(st.integers(0, rows)), "")
+    header = draw(st.booleans())
+    if header:
+        lines.insert(0, ",".join(f"c{j}" for j in range(cols)))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline, 2 * newline]))
+    return text, header
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_plain_cases())
+def test_plain_reader_matches_reference(tmp_path_factory, case):
+    text, header = case
+    path = tmp_path_factory.mktemp("plain") / "m.csv"
+    path.write_bytes(text.encode("ascii"))
+    assert (_outcome(read_matrix_csv, path, header)
+            == _outcome(_reference_read, path, header))
+
+
+@pytest.mark.parametrize("newline, header", [("\n", False), ("\r\n", True)])
+def test_plain_file_is_parsed_in_one_pass(tmp_path, monkeypatch, newline, header):
+    rng = make_rng(6)
+    values = rng.choice([-1.0, 0.5, 1.0, 1e-3], (3, 1000))
+    seen = rng.random((3, 1000)) < 0.5
+    lines = [",".join(repr(v) if s else NA_TOKEN for v, s in zip(row, seen_row))
+             for row, seen_row in zip(values.tolist(), seen.tolist())]
+    if header:
+        lines.insert(0, ",".join(f"c{j}" for j in range(1000)))
+    path = tmp_path / "m.csv"
+    path.write_bytes((newline.join(lines) + newline).encode("ascii"))
+    expected = _outcome(_reference_read, path, header)
+
+    def per_row(*args):
+        raise AssertionError("the per-row path ran")
+
+    monkeypatch.setattr("usvt.matrixio._fill", per_row)
+    monkeypatch.setattr("usvt.matrixio._parse_row", per_row)
+    assert _outcome(read_matrix_csv, path, header) == expected
+    assert expected[0] == "arrays"
+
+
+@pytest.mark.parametrize("data, header, line, byte", [
+    (b"1.0,\xff\n", False, 1, "0xff"),
+    (b"1,2\r\n3,4\r5,\xe9\n", False, 3, "0xe9"),
+    (b"c0,c\x801\n1,2\n", True, 1, "0x80"),
+    (b"1,2\n3,NA\n\xc3", False, 3, "0xc3"),
+])
+def test_undecodable_byte_reports_line(tmp_path, data, header, line, byte):
+    path = tmp_path / "m.csv"
+    path.write_bytes(data)
+    with pytest.raises(MatrixFormatError) as err:
+        read_matrix_csv(path, header=header)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: not UTF-8: byte {byte}"
+
+
 @pytest.mark.parametrize("row, field", [
     ("1_0,2", "1_0"),
     ("2,1e1_0", "1e1_0"),
@@ -240,10 +320,22 @@ def test_underscore_and_non_ascii_are_not_numbers(tmp_path, row, field):
     ("c0\n", True),
     ("c0,c1\r\n", True),
     (" NA ,\t1.0\n2.0,NA\t\n", False),
+    ("\n", False),
+    ("\r\n\r\n", False),
+    ("c0\n\n", True),
+    ("1,-NA\n", False),
+    ("+NA,1\n", False),
+    ("NA-,1\n", False),
+    ("1NA,2\n", False),
+    ("NAN\n", False),
+    ("NANA,NA\n", False),
+    ("NA,N\nA,NA\n", False),
+    ("NA,1\n1e400,NA\n", False),
 ])
 def test_reader_matches_reference_cases(tmp_path, text, header):
-    # A tall one-column file, two header-only files, and rows that only the
-    # field-by-field parse accepts.
+    # A tall one-column file, two header-only files, rows that only the
+    # field-by-field parse accepts, bodies of newlines only, and plain
+    # fields that only look like NA or overflow.
     path = tmp_path / "m.csv"
     path.write_bytes(text.encode("utf-8"))
     assert (_outcome(read_matrix_csv, path, header)
@@ -313,6 +405,19 @@ def test_few_entries_go_to_repr(seed):
     text, slow = _format_rows(values)
     assert text == _repr_text(values)
     assert slow <= 0.05 * values.size
+
+
+def test_powers_of_two_take_the_exact_path():
+    # Every power of two in [1e-4, 1e16), where the rounding interval is
+    # not symmetric, and matrices of short binary values.
+    powers = 2.0 ** np.arange(-13, 54)
+    assert powers[0] >= 1e-4 > powers[0] / 2 and powers[-1] < 1e16 <= 2 * powers[-1]
+    rng = make_rng(7)
+    for values in (np.concatenate([powers, -powers])[None, :],
+                   rng.choice([-1.0, 1.0], (20, 50)), rng.integers(-4, 5, (20, 50)) * 0.5):
+        text, slow = _format_rows(values)
+        assert text == _repr_text(values)
+        assert slow == 0
 
 
 def test_writer_memory_is_bounded(tmp_path):
