@@ -73,17 +73,10 @@ def _read_plain(body):
     per-row path must read it."""
     if not body or body.translate(None, b"0123456789.eE+-,\nNA"):
         return None
-    # A blank line (loadtxt skips it), or an N that does not start a field:
-    # loadtxt reads -nan and +nan as NaN, and rejects any other field that
-    # holds more than nan.
-    c = np.frombuffer(body, np.uint8)
-    inner_n = c[1:] == 78
-    inner_n &= c[:-1] != 44
-    inner_n &= c[:-1] != 10
-    if body[:1] == b"\n" or b"\n\n" in body or inner_n.any():
+    if body[:1] == b"\n" or b"\n\n" in body:  # a blank line, which loadtxt skips
         return None
-    try:
-        values = np.loadtxt(io.BytesIO(body.replace(b"NA", b"nan")), delimiter=",",
+    try:  # NA becomes -nan, so a field that holds more than NA is no number
+        values = np.loadtxt(io.BytesIO(body.replace(b"NA", b"-nan")), delimiter=",",
                             comments=None, ndmin=2)
     except ValueError:  # a ragged row or a field float rejects
         return None
