@@ -144,8 +144,9 @@ def sample_upper(n: int, draw, *, diagonal: bool = True, below: str = "mirror", 
     """
     upper = ~np.tri(n, k=-1 if diagonal else 0, dtype=bool)
     out = np.zeros((n, n), dtype=dtype)
-    out[upper] = draw(upper, np.count_nonzero(upper))
-    np.copyto(out, _BELOW[below](out.T), where=np.tri(n, k=-1, dtype=bool))
+    x = draw(upper, np.count_nonzero(upper))
+    out.T[upper] = _BELOW[below](x)
+    out[upper] = x  # also restores a drawn diagonal
     return out
 
 

@@ -8,15 +8,14 @@ matrices (estimates), so it never writes ``NA``. Each float is written as
 per-entry fallback, so a write/read round trip reproduces every value.
 
 The reader takes UTF-8 text with universal newlines, and reports the
-line of the first byte that is not UTF-8. A body of plain fields (the
-bytes ``0-9 . e E + - ,``, newlines and whole ``NA`` fields) is parsed in
-one call of numpy's text parser. Any other body, and a plain one that
-parser rejects or that overflows, goes to the per-row path, the only one
-that reports a malformed row: each row is parsed in one pass; a row that
-pass cannot take (a wrong width, a non-finite value, a ``_`` or non-ASCII
-character, or a field ``float`` rejects, as ``NA`` with spaces does) is
-checked field by field, stripped, in file order, and accepted or reported
-as its first fault.
+line of the first byte that is not UTF-8. It has two paths. A body of
+plain fields (the bytes ``0-9 . e E + - ,``, space, tab, newlines and
+``NA`` fields; numpy strips the spaces and tabs around a field as the
+per-row path does) is parsed in one call of numpy's text parser. Any
+other body, and a plain one that parser rejects or that overflows, goes
+to the per-row path, the only one that reports a malformed row: each
+row's fields are stripped and checked in file order, and the row is
+accepted or reported as its first fault.
 """
 
 from __future__ import annotations
@@ -38,7 +37,9 @@ def read_matrix_csv(path, header: bool = False):
 
     ``mask`` is True where a number was present; missing (``NA``) positions
     carry value 0.0. Malformed content raises :class:`MatrixFormatError`
-    with the offending 1-based line number.
+    with the offending 1-based line number. A plain body, padded or not,
+    is parsed in one pass (:func:`_read_plain`); any other is checked row by
+    row (:func:`_parse_row`).
     """
     with open(path, "rb") as fh:  # newlines as text mode reads them
         raw = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -63,19 +64,20 @@ def read_matrix_csv(path, header: bool = False):
     values = np.empty((len(data_lines), width))
     mask = np.empty((len(data_lines), width), dtype=bool)
     for i, line in enumerate(data_lines):
-        if "_" in line or not line.isascii() or not _fill(line.split(","), values[i], mask[i]):
-            _fill(_parse_row(line, start + i, width), values[i], mask[i])
+        fields = _parse_row(line, start + i, width)
+        mask[i] = [f != NA_TOKEN for f in fields]
+        values[i] = [0.0 if f == NA_TOKEN else float(f) for f in fields]
     return values, mask
 
 
 def _read_plain(body):
     """``(values, mask)`` of a body of plain fields, or None where the
     per-row path must read it."""
-    if not body or body.translate(None, b"0123456789.eE+-,\nNA"):
+    if not body or body.translate(None, b"0123456789.eE+-, \t\nNA"):
         return None
     if body[:1] == b"\n" or b"\n\n" in body:  # a blank line, which loadtxt skips
         return None
-    try:  # NA becomes -nan, so a field that holds more than NA is no number
+    try:  # NA becomes -nan, so a field that holds more than a padded NA is no number
         values = np.loadtxt(io.BytesIO(body.replace(b"NA", b"-nan")), delimiter=",",
                             comments=None, ndmin=2)
     except ValueError:  # a ragged row or a field float rejects
@@ -85,19 +87,6 @@ def _read_plain(body):
     mask = ~np.isnan(values)
     values[~mask] = 0.0
     return values, mask
-
-
-def _fill(fields, values, mask):
-    """Parse ``fields`` into the rows ``values`` and ``mask``; False where
-    the row must go to :func:`_parse_row`."""
-    if len(fields) != len(values):
-        return False
-    mask[:] = seen = [f != NA_TOKEN for f in fields]
-    try:
-        values[:] = [float(f) if s else 0.0 for f, s in zip(fields, seen)]
-    except ValueError:
-        return False
-    return np.isfinite(values).all()
 
 
 def _parse_row(line, lineno, width):

@@ -24,6 +24,7 @@ from usvt.generators import (
     gen_low_rank_adversary,
     gen_minimax_instance,
     play_tournament,
+    sample_upper,
     uniform_points,
 )
 from usvt.linalg import frobenius_norm, nuclear_norm, numerical_rank
@@ -452,6 +453,33 @@ class TestBernoulliRound:
     def test_range_enforced(self):
         with pytest.raises(ValidationError):
             bernoulli_round(np.array([[1.5]]), ASYM, seed=51)
+
+
+def _sample_upper_reference(n, draw, *, diagonal=True, below="mirror", dtype=float):
+    """The construction ``sample_upper`` replaced: the lower triangle copied
+    from the upper through a second mask."""
+    upper = ~np.tri(n, k=-1 if diagonal else 0, dtype=bool)
+    out = np.zeros((n, n), dtype=dtype)
+    out[upper] = draw(upper, np.count_nonzero(upper))
+    fill = {"mirror": lambda x: x, "complement": lambda x: 1.0 - x}[below]
+    np.copyto(out, fill(out.T), where=np.tri(n, k=-1, dtype=bool))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+@pytest.mark.parametrize("diagonal", [True, False])
+@pytest.mark.parametrize("below, dtype", [("mirror", float), ("complement", float),
+                                          ("mirror", bool)])
+def test_sample_upper_matches_reference(n, diagonal, below, dtype):
+    def draw(upper, size):  # the same stream on each call
+        x = make_rng(n).random(size)
+        return x < 0.5 if dtype is bool else x
+
+    kwargs = dict(diagonal=diagonal, below=below, dtype=dtype)
+    got = sample_upper(n, draw, **kwargs)
+    want = _sample_upper_reference(n, draw, **kwargs)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_all_generators_deterministic():

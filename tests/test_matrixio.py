@@ -229,14 +229,16 @@ _PLAIN_NUMBER = st.one_of(
 @st.composite
 def _plain_cases(draw):
     """Files of the bytes the one-pass parse takes (digits, signs, ``.``,
-    ``e``, ``E``, ``NA``, commas and newlines), valid or with one fault."""
+    ``e``, ``E``, ``NA``, spaces, tabs, commas and newlines), valid or with
+    one fault."""
     rows = draw(st.integers(1, 4))
     cols = draw(st.integers(1, 4))
-    cells = [[draw(_PLAIN_NUMBER) for _ in range(cols)] for _ in range(rows)]
+    cells = [[draw(_PAD) + draw(_PLAIN_NUMBER) + draw(_PAD) for _ in range(cols)]
+             for _ in range(rows)]
     fault = draw(st.sampled_from([None, None, "token", "blank line", "trailing comma"]))
     if fault == "token":
         cells[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(
-            st.text("0123456789.eE+-NA", max_size=5))
+            st.text("0123456789.eE+-NA \t", max_size=5))
     elif fault == "trailing comma":
         cells[draw(st.integers(0, rows - 1))].append("")
     lines = [",".join(row) for row in cells]
@@ -276,9 +278,27 @@ def test_plain_file_is_parsed_in_one_pass(tmp_path, monkeypatch, newline, header
     def per_row(*args):
         raise AssertionError("the per-row path ran")
 
-    monkeypatch.setattr("usvt.matrixio._fill", per_row)
     monkeypatch.setattr("usvt.matrixio._parse_row", per_row)
     assert _outcome(read_matrix_csv, path, header) == expected
+    assert expected[0] == "arrays"
+
+
+@pytest.mark.parametrize("separator", [", ", "\t,"])
+def test_padded_file_is_parsed_in_one_pass(tmp_path, monkeypatch, separator):
+    rng = make_rng(7)
+    values = rng.choice([-1.0, 0.5, 1.0, 1e-3], (3, 1000))
+    seen = rng.random((3, 1000)) < 0.5
+    lines = [separator.join(repr(v) if s else NA_TOKEN for v, s in zip(row, seen_row))
+             for row, seen_row in zip(values.tolist(), seen.tolist())]
+    path = tmp_path / "m.csv"
+    path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    expected = _outcome(_reference_read, path, False)
+
+    def per_row(*args):
+        raise AssertionError("the per-row path ran")
+
+    monkeypatch.setattr("usvt.matrixio._parse_row", per_row)
+    assert _outcome(read_matrix_csv, path, False) == expected
     assert expected[0] == "arrays"
 
 
@@ -331,11 +351,14 @@ def test_underscore_and_non_ascii_are_not_numbers(tmp_path, row, field):
     ("NANA,NA\n", False),
     ("NA,N\nA,NA\n", False),
     ("NA,1\n1e400,NA\n", False),
+    ("1\x0b,NA\n\x0cNA,-2.5\n", False),
+    ("c0,c1\nNA\x1f, 3\n4,\x0bNA\n", True),
 ])
 def test_reader_matches_reference_cases(tmp_path, text, header):
     # A tall one-column file, two header-only files, rows that only the
-    # field-by-field parse accepts, bodies of newlines only, and plain
-    # fields that only look like NA or overflow.
+    # field-by-field parse accepts, bodies of newlines only, plain fields
+    # that only look like NA or overflow, and valid rows whose padding
+    # (vertical tab, form feed, unit separator) only the per-row path takes.
     path = tmp_path / "m.csv"
     path.write_bytes(text.encode("utf-8"))
     assert (_outcome(read_matrix_csv, path, header)

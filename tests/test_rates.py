@@ -32,6 +32,25 @@ Lower side, 1 trial: ``lowrank_adversary`` with r = 100 has MSE /
 ``(1 - p)^{floor(n/r)}`` of 0.67, 1.3 and 5.3; ``minimax`` has MSE /
 ``min(theta / sqrt(p), theta^2 n, 1)`` between 0.21 and 0.40 over
 theta in {0.005, 0.05, 0.8} and seeds 1 to 3.
+
+Variance bound: ``lowrank`` r = 3 with noise ``none`` (entry variance 0),
+cut with ``sigma_sq = 1e-6`` and with the universal threshold on the same
+draws, n in {100, 200, 400}, p = 0.5, 2 trials. At n = 100 both keep rank
+0 and give the same cells. Retained rank (universal / bound) and the
+universal MSE over the bound's MSE:
+
+====  ==========  ==========  =============  =============
+seed  rank 200    rank 400    ratio n = 200  ratio n = 400
+====  ==========  ==========  =============  =============
+1     0 / 2       1 / 3       3.4            33
+2     0 / 1       0.5 / 3     1.7            39
+3     0 / 2.5     0.5 / 3     5.9            42
+4     0 / 0.5     1.5 / 3     1.3            24
+5     0 / 2       0.5 / 3     3.5            42
+====  ==========  ==========  =============  =============
+
+At n = 400 the bound's MSE / bracket was 0.008-0.009 and trivial / USVT
+47-50 on every seed, against 0.21-0.36 and 1.2-2.1 for the universal cut.
 """
 
 import math
@@ -57,9 +76,9 @@ UPPER = {
 }
 
 
-def _cells(kind, params, trials, baseline_trivial=False):
+def _cells(kind, params, trials, baseline_trivial=False, sigma_sq=None):
     spec = ExperimentSpec(ModelSpec(kind, params), N_GRID, (P,), trials=trials, seed=1,
-                          baseline_trivial=baseline_trivial)
+                          baseline_trivial=baseline_trivial, sigma_sq=sigma_sq)
     cells = run_experiment(spec).cells
     assert [c.failure for c in cells] == [None] * len(N_GRID)
     return cells
@@ -109,3 +128,17 @@ def test_unit_variance_bound_is_the_universal_threshold():
         sigma_sq=sigma_sq, trials=2, seed=5)))["cells"] for sigma_sq in (None, 1.0)]
     assert all(c["failure"] is None for c in cells[0])
     assert cells[0] == cells[1]
+
+
+def test_variance_bound_keeps_the_signal_the_universal_cut_drops():
+    # Noise-free entries have variance 0, so a small sigma_sq lowers the cut
+    # to (2 + eta) sqrt(n p_hat (1 - p_hat)) and the rank-3 signal clears it.
+    grid = {sigma_sq: _cells("lowrank", {"r": 3, "noise": "none"}, trials=2,
+                             sigma_sq=sigma_sq)
+            for sigma_sq in (None, 1e-6)}
+    for universal, bound in zip(grid[None], grid[1e-6]):
+        assert universal.bracket == bound.bracket  # the same draws
+        assert bound.mean_mse <= universal.mean_mse, (universal, bound)
+    universal, bound = grid[None][-1], grid[1e-6][-1]
+    assert bound.mean_retained_rank == 3
+    assert universal.mean_mse >= 10.0 * bound.mean_mse, (universal, bound)
