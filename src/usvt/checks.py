@@ -230,9 +230,9 @@ CHECK_NAMES = tuple(_CHECKS)
 
 def check_suite(selectors=("all",), seed: int = DEFAULT_SEED) -> CheckReport:
     """Run the named property batteries; "all" runs every check except the
-    negative control."""
+    negative control. A bare string is one selector."""
     names = []
-    for sel in selectors:
+    for sel in (selectors,) if isinstance(selectors, str) else selectors:
         if sel == "all":
             names.extend(name for name in CHECK_NAMES if name != "negative-control")
         elif sel in _CHECKS:

@@ -192,28 +192,40 @@ def threshold_value(n: int, p_hat: float, eta: float, sigma_sq: float | None = N
     return (2.0 + eta) * float(np.sqrt(n * rate))
 
 
-def _normalise(data: MaskedMatrix, interval):
+def _normalise(data: MaskedMatrix, interval, copy: bool = True):
     """Check the interval and that the observed values lie in it; map the
     observed entries affinely onto [-1, 1] and zero-fill the rest.
 
     Returns ``(lo, hi, p_hat, y)``; ``y`` is None when nothing is observed.
+    ``y`` is a new array unless ``copy`` is False and ``data.values`` is
+    already that matrix (interval [-1, 1], C order, +0.0 at every
+    unobserved entry, as ``read_matrix_csv`` returns it): then ``y`` is
+    ``data.values`` itself, and the caller must not write it.
     """
     lo, hi = _check_interval(interval)
     p_hat = data.observed_fraction()
     if p_hat == 0.0:
         return lo, hi, p_hat, None
     mid = (lo + hi) / 2.0
-    # The unobserved entries hold the midpoint, which lies in [lo, hi], so
-    # only an observed value can fall outside, and they map to zero.
-    y = np.where(data.mask, data.values, mid)
+    values = data.values
+    # True where an unobserved entry's bits are not +0.0's (-0.0 is copied
+    # as +0.0); a masked reduction (``where=``) takes over ten times longer.
+    if (copy or (lo, hi) != (-1.0, 1.0) or not values.flags.c_contiguous
+            or np.greater(values.view(np.int64) != 0, data.mask).any()):
+        # The unobserved entries hold the midpoint, which lies in [lo, hi],
+        # so only an observed value can fall outside, and they map to zero.
+        y = np.where(data.mask, values, mid)
+    else:
+        y = values
     if y.min() < lo or y.max() > hi:
         i, j = np.unravel_index(np.argmax((y < lo) | (y > hi)), y.shape)
         raise ValidationError(
             f"observed values fall outside the declared interval [{lo}, {hi}], "
             f"first at ({i}, {j}): {float(y[i, j])!r}; the error guarantee requires bounded entries"
         )
-    y -= mid
-    y /= (hi - lo) / 2.0
+    if y is not values:
+        y -= mid
+        y /= (hi - lo) / 2.0
     return lo, hi, p_hat, y
 
 
@@ -243,6 +255,11 @@ def usvt_estimate(data: MaskedMatrix, config: EstimatorConfig) -> EstimateReport
     returned with an empty retained set, threshold 0 and ``no_data`` set:
     the zero-information answer rather than an error, so sweeps over small
     observation probabilities stay total.
+
+    ``data`` is never written. Where its values are already the zero-filled
+    matrix on [-1, 1] (the default interval, C order and +0.0 at every
+    unobserved entry, as :func:`usvt.read_matrix_csv` returns them), the
+    cut reads them in place and no normalised copy is made.
     """
     return _usvt_and_baseline(data, config, baseline=False)[0]
 
@@ -255,7 +272,7 @@ def _usvt_and_baseline(data: MaskedMatrix, config: EstimatorConfig, baseline: bo
         raise ValidationError(
             f"config mode {config.mode.value!r} does not match data mode {data.mode.value!r}"
         )
-    lo, hi, p_hat, y = _normalise(data, config.interval)
+    lo, hi, p_hat, y = _normalise(data, config.interval, copy=baseline)
     if y is None:
         report = EstimateReport(
             estimate=np.full(data.shape, (lo + hi) / 2.0),

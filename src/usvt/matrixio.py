@@ -21,6 +21,7 @@ accepted or reported as its first fault.
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 
@@ -43,11 +44,12 @@ def read_matrix_csv(path, header: bool = False):
     """
     with open(path, "rb") as fh:  # newlines as text mode reads them
         raw = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    try:
-        raw.decode("utf-8")  # decoded again only for the per-row path
-    except UnicodeDecodeError as err:
-        raise MatrixFormatError(f"not UTF-8: byte 0x{raw[err.start]:02x}",
-                                line=raw.count(b"\n", 0, err.start) + 1) from None
+    if not raw.isascii():  # ASCII is UTF-8; decoded again only for the per-row path
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise MatrixFormatError(f"not UTF-8: byte 0x{raw[err.start]:02x}",
+                                    line=raw.count(b"\n", 0, err.start) + 1) from None
     plain = _read_plain(raw.partition(b"\n")[2] if header else raw)
     if plain is not None:
         return plain
@@ -64,9 +66,7 @@ def read_matrix_csv(path, header: bool = False):
     values = np.empty((len(data_lines), width))
     mask = np.empty((len(data_lines), width), dtype=bool)
     for i, line in enumerate(data_lines):
-        fields = _parse_row(line, start + i, width)
-        mask[i] = [f != NA_TOKEN for f in fields]
-        values[i] = [0.0 if f == NA_TOKEN else float(f) for f in fields]
+        values[i], mask[i] = _parse_row(line, start + i, width)
     return values, mask
 
 
@@ -90,24 +90,27 @@ def _read_plain(body):
 
 
 def _parse_row(line, lineno, width):
-    """The stripped fields of ``line`` (a non-ASCII one unstripped), or the
-    :class:`MatrixFormatError` of its first fault."""
+    """``(values, seen)`` of ``line``'s fields, stripped (a non-ASCII one
+    unstripped): each one's float, 0.0 for ``NA``, and whether it is a
+    number; or the :class:`MatrixFormatError` of its first fault."""
     fields = [f.strip() if f.isascii() else f for f in line.split(",")]
     if fields == [""]:
         raise MatrixFormatError("blank row", line=lineno)
     if len(fields) != width:
         raise MatrixFormatError(f"expected {width} fields, found {len(fields)}", line=lineno)
+    values = []
     for field in fields:
         try:
             if "_" in field or not field.isascii():
                 raise ValueError(field)
-            finite = field == NA_TOKEN or np.isfinite(float(field))
+            value = 0.0 if field == NA_TOKEN else float(field)
         except ValueError:
             raise MatrixFormatError(
                 f"not a number or {NA_TOKEN!r}: {field!r}", line=lineno) from None
-        if not finite:
+        if not math.isfinite(value):
             raise MatrixFormatError(f"non-finite value {field!r}", line=lineno)
-    return fields
+        values.append(value)
+    return values, [f != NA_TOKEN for f in fields]
 
 
 def write_matrix_csv(path, values, header: bool = False) -> None:

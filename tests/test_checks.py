@@ -105,6 +105,10 @@ def test_suite_unknown_selector():
         check_suite(["spectra"])
 
 
+def test_suite_reads_a_bare_string_as_one_selector():
+    assert check_suite("norms") == check_suite(("norms",))
+
+
 def test_suite_deduplicates():
     report = check_suite(["norms", "norms"])
     assert len(report.results) == 1

@@ -535,3 +535,98 @@ def test_estimate_bytes_pinned(mode, digest):
     rep = usvt_estimate(pinned_input(mode), EstimatorConfig(eta=0.01, mode=mode))
     assert rep.retained_rank == 1
     assert hashlib.sha256(rep.estimate.tobytes()).hexdigest() == digest
+
+
+def zero_filled_input(mode, shape, seed=37):
+    """Rank-2 signal plus noise, clipped to [-1, 1], 60% observed, with
+    +0.0 at every unobserved entry: the matrix ``read_matrix_csv`` returns."""
+    rng = make_rng(seed)
+    u = rng.uniform(-1.5, 1.5, (shape[0], 2))
+    v = u if mode is SYM else rng.uniform(-1.5, 1.5, (shape[1], 2))
+    noise = rng.uniform(-0.5, 0.5, shape)
+    mask = rng.random(shape) < 0.6
+    if mode is not ASYM:
+        noise, mask = (noise + noise.T) / 2.0, np.triu(mask) | np.triu(mask).T
+    values = np.clip(u @ v.T + noise, -1.0, 1.0)
+    return MaskedMatrix(np.where(mask, values, 0.0), mask, mode)
+
+
+def spilled(data, fill=0.75):
+    """``data`` with ``fill`` at every unobserved entry, which the
+    estimator must ignore."""
+    return MaskedMatrix(np.where(data.mask, data.values, fill), data.mask, data.mode)
+
+
+def test_zero_filled_data_is_cut_in_place():
+    data = zero_filled_input(ASYM, (6, 7))
+    assert _normalise(data, None, copy=False)[3] is data.values
+    assert _normalise(data, (-1, 1), copy=False)[3] is data.values
+    negative_zero = data.values.copy()
+    negative_zero[~data.mask] = -0.0
+    fortran = np.asfortranarray(data.values)
+    copied = [
+        (data, None, True),  # the caller writes y
+        (data, (-1.0, 2.0), False),  # another interval
+        (spilled(data), None, False),  # nonzero values at unobserved entries
+        (MaskedMatrix(negative_zero, data.mask), None, False),  # -0.0 there
+        (MaskedMatrix(fortran, data.mask), None, False),  # not C order
+    ]
+    for case, interval, copy in copied:
+        y = _normalise(case, interval, copy=copy)[3]
+        assert not np.shares_memory(y, case.values)
+        if interval is None:
+            assert y.tobytes() == data.values.tobytes()
+
+
+@pytest.mark.parametrize("mode", [ASYM, SYM, SKEW], ids=["asym", "sym", "skew"])
+@pytest.mark.parametrize("m", [40, 300, 500], ids=["full", "gram", "krylov"])
+def test_in_place_cut_matches_copy_path(mode, m):
+    # Below 64 rows the full decomposition, then the Gram route (general
+    # inputs) and from 500 rows the Krylov route; the copy path's estimate
+    # is the parent's, so the in-place cut must match it bit for bit and
+    # leave the data's bytes as they were.
+    shape = (m, m + 20) if mode is ASYM else (m, m)
+    data = zero_filled_input(mode, shape)
+    before = data.values.tobytes()
+    config = EstimatorConfig(eta=0.01, mode=mode)
+    rep = usvt_estimate(data, config)
+    assert data.values.tobytes() == before
+    assert rep.retained_rank >= 1
+    copy = usvt_estimate(spilled(data), config)
+    assert rep.retained_rank == copy.retained_rank
+    assert np.array_equal(rep.estimate, copy.estimate)
+
+
+def test_in_place_range_check_names_the_first_entry():
+    data = zero_filled_input(ASYM, (5, 6))
+    values = data.values.copy()
+    (i, j), (k, l) = np.argwhere(data.mask)[[3, 7]]
+    values[i, j], values[k, l] = 1.5, -2.0
+    zero_filled = MaskedMatrix(values, data.mask)
+    assert _normalise(data, None, copy=False)[3] is data.values
+    messages = []
+    for case in (zero_filled, spilled(zero_filled)):
+        with pytest.raises(ValidationError) as err:
+            usvt_estimate(case, EstimatorConfig(eta=0.01))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert f"first at ({i}, {j}): 1.5;" in messages[0]
+
+
+def test_in_place_cut_peak_memory():
+    # The traced peak above the input: before the in-place cut the
+    # normalised copy added one matrix (2.71 m n 8 B on this route).
+    import tracemalloc
+
+    data = zero_filled_input(ASYM, (1000, 1040))
+    matrix_bytes = data.values.nbytes
+    config = EstimatorConfig(eta=0.01)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rep = usvt_estimate(data, config)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert rep.retained_rank >= 1
+    assert peak < 2.2 * matrix_bytes, peak / matrix_bytes
