@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -582,9 +583,9 @@ def test_zero_filled_data_is_cut_in_place():
 @pytest.mark.parametrize("m", [40, 300, 500], ids=["full", "gram", "krylov"])
 def test_in_place_cut_matches_copy_path(mode, m):
     # Below 64 rows the full decomposition, then the Gram route (general
-    # inputs) and from 500 rows the Krylov route; the copy path's estimate
-    # is the parent's, so the in-place cut must match it bit for bit and
-    # leave the data's bytes as they were.
+    # inputs) and from 500 rows the Krylov route. The copy path is the
+    # reference: the in-place cut must match it bit for bit and leave the
+    # data's bytes as they were.
     shape = (m, m + 20) if mode is ASYM else (m, m)
     data = zero_filled_input(mode, shape)
     before = data.values.tobytes()
@@ -614,10 +615,8 @@ def test_in_place_range_check_names_the_first_entry():
 
 
 def test_in_place_cut_peak_memory():
-    # The traced peak above the input: before the in-place cut the
-    # normalised copy added one matrix (2.71 m n 8 B on this route).
-    import tracemalloc
-
+    # The traced peak above the input, in matrices: about 1.7 on this
+    # route, and 2.7 with a normalised copy of the input.
     data = zero_filled_input(ASYM, (1000, 1040))
     matrix_bytes = data.values.nbytes
     config = EstimatorConfig(eta=0.01)
