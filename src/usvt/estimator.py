@@ -320,8 +320,8 @@ def denoise_error_constant(delta: float) -> float:
     delta -> 0. It is not monotone: its minimum, about 9.947, lies near
     delta = 1.62, and it rises only past that point.
     """
-    if not delta > 0:
-        raise ValidationError("delta must be positive")
+    if not 0 < delta < np.inf:
+        raise ValidationError(f"delta must be positive and finite, got {delta}")
     return (4.0 + 2.0 * delta) * float(np.sqrt(2.0 / delta)) + float(np.sqrt(2.0 + delta))
 
 
@@ -340,8 +340,8 @@ def denoise_by_threshold(a, b, delta: float) -> np.ndarray:
     which is the engine behind the USVT guarantee: proximity in operator
     norm plus a nuclear-norm budget yields proximity entrywise.
     """
-    if not delta > 0:
-        raise ValidationError("delta must be positive")
+    if not 0 < delta < np.inf:
+        raise ValidationError(f"delta must be positive and finite, got {delta}")
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:

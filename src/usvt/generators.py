@@ -100,10 +100,10 @@ class TournamentModel:
         off = ~np.eye(n, dtype=bool)
         if n > 1 and not np.allclose((p + p.T)[off], 1.0, rtol=0.0, atol=1e-12):
             raise ValidationError("tournament requires p_ji = 1 - p_ij off the diagonal")
-        order = np.asarray(self.strength_order, dtype=int)
-        if sorted(order.tolist()) != list(range(n)):
+        order = np.asarray(self.strength_order)
+        if order.dtype.kind not in "iu" or sorted(order.tolist()) != list(range(n)):
             raise ValidationError("strength_order must be a permutation of team indices")
-        object.__setattr__(self, "strength_order", order)
+        object.__setattr__(self, "strength_order", order.astype(int))
 
 
 def gen_low_rank(m: int, n: int, r: int, seed: int) -> np.ndarray:
@@ -180,7 +180,10 @@ def gen_distance_matrix(points, metric: str = "euclidean") -> np.ndarray:
     diagonal is zero and the triangle inequality is preserved. ``metric``
     names one of :data:`DISTANCE_METRICS`.
     """
-    pts = np.asarray(points, dtype=float)
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers: rejected below
+        pts = np.empty((0, 0))
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -190,11 +193,9 @@ def gen_distance_matrix(points, metric: str = "euclidean") -> np.ndarray:
     combine, transform, finish = _named(DISTANCE_METRICS, metric, "metric")
     n, dim = pts.shape
     dist = np.zeros((n, n))
-    for d in range(dim):
+    for d in range(dim):  # x_i - x_j is -(x_j - x_i) and each transform is even: dist == dist.T
         combine(dist, transform(pts[:, d, None] - pts[None, :, d]), out=dist)
     finish(dist, out=dist)
-    np.fill_diagonal(dist, 0.0)
-    dist = np.maximum(dist, dist.T)
     diameter = dist.max()
     if diameter > 0.0:
         dist = dist / diameter

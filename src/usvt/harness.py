@@ -99,25 +99,15 @@ class Family:
     interval, ``realize(prm, n, model_seed) -> observe``, which draws one
     model, with ``observe(p, data_seed) -> (truth, data)`` its data seen at
     probability p as a :class:`MaskedMatrix` that carries the family's
-    symmetry mode, ``bracket(prm, n, p)``, the rate bracket (``None``:
-    nuclear-norm bracket of the first trial's truth), and ``clashes``,
-    ``(message, test)`` pairs rejecting the converted parameters a test
-    holds for: a value out of range."""
+    symmetry mode, and ``bracket(prm, n, p)``, the rate bracket (``None``:
+    nuclear-norm bracket of the first trial's truth). A kind is also a
+    range: an int parameter is a count, at least 1, and a float one a
+    probability or fraction, in [0, 1]."""
 
     params: dict
     interval: tuple | None
     realize: Callable
     bracket: Callable | None = None
-    clashes: tuple = ()
-
-
-# Range rules for ``Family.clashes``: parameter ``name``, if given, is >= 1 or in [0, 1].
-def _at_least_1(name):
-    return f"parameter {name!r} must be >= 1", lambda prm: prm.get(name, 1) < 1
-
-
-def _in_unit(name):
-    return f"parameter {name!r} must lie in [0, 1]", lambda prm: not 0 <= prm.get(name, 0) <= 1
 
 
 def _observe(mode: SymmetryMode, truth: np.ndarray, x: np.ndarray | None = None):
@@ -162,29 +152,28 @@ FAMILIES = {
     "zero": Family({}, None, lambda prm, n, seed: _observe(ASYM, np.zeros((n, n)))),
     "lowrank": Family(
         {"r": int, "noise": ("none", "sign")}, None, _realize_lowrank,
-        lambda prm, n, p: min(math.sqrt(prm["r"] / (n * p)), 1.0), (_at_least_1("r"),),
+        lambda prm, n, p: min(math.sqrt(prm["r"] / (n * p)), 1.0),
     ),
     "lowrank_adversary": Family(
         {"r": int}, None,
         lambda prm, n, seed: _observe(ASYM, gen_low_rank_adversary(n, n, prm["r"], seed)),
-        lambda prm, n, p: low_rank_lower_bound(n, prm["r"], p), (_at_least_1("r"),),
+        lambda prm, n, p: low_rank_lower_bound(n, prm["r"], p),
     ),
     "blockmodel": Family(
         {"k": int, "in_prob": 0.8, "out_prob": 0.2, "observe_diagonal": True},
         (0.0, 1.0), _realize_blockmodel,
         lambda prm, n, p: min(math.sqrt(prm["k"] / (n * p)), 1.0),
-        (_at_least_1("k"), _in_unit("in_prob"), _in_unit("out_prob")),
     ),
     "distance": Family(
         {"dim": 1, "metric": tuple(DISTANCE_METRICS)}, (0.0, 1.0),
         lambda prm, n, seed: _observe(SYM, gen_distance_matrix(
             uniform_points(n, prm["dim"], seed), prm["metric"])),
-        lambda prm, n, p: distance_bracket(n, p, prm["dim"]), (_at_least_1("dim"),),
+        lambda prm, n, p: distance_bracket(n, p, prm["dim"]),
     ),
     "latent": Family(
         {"dim": 1, "f": tuple(LATENT_CATALOG)}, None,
         lambda prm, n, seed: _observe(ASYM, gen_latent_space(n, prm["dim"], prm["f"], seed)),
-        lambda prm, n, p: lipschitz_latent_bracket(n, p, prm["dim"]), (_at_least_1("dim"),),
+        lambda prm, n, p: lipschitz_latent_bracket(n, p, prm["dim"]),
     ),
     "correlation": Family(
         {}, None, lambda prm, n, seed: _observe(SYM, gen_correlation_matrix(n, seed)),
@@ -196,13 +185,12 @@ FAMILIES = {
     ),
     "bradley_terry": Family(
         {"games_per_pair": 1}, (0.0, 1.0), _realize_bradley_terry,
-        lambda prm, n, p: bradley_terry_bracket(n, p), (_at_least_1("games_per_pair"),),
+        lambda prm, n, p: bradley_terry_bracket(n, p),
     ),
     # Nuclear budget theta * n^{3/2}, at most the n^{3/2} the construction allows. It
     # depends on p (and requires p < 1), so each observation builds its instance from the seed.
     "minimax": Family({"theta": float}, None, lambda prm, n, seed: lambda p, data_seed: _observe(
-        ASYM, gen_minimax_instance(n, n, prm["theta"] * n * math.sqrt(n), p, seed))(p, data_seed),
-        clashes=(_in_unit("theta"),)),
+        ASYM, gen_minimax_instance(n, n, prm["theta"] * n * math.sqrt(n), p, seed))(p, data_seed)),
 }
 
 MODEL_KINDS = tuple(FAMILIES)
@@ -231,7 +219,13 @@ class ModelSpec:
         object.__setattr__(self, "params", {
             k: _convert(f"{self.kind} parameter {k!r}", v, family.params[k])
             for k, v in self.params.items()})
-        bad = [message for message, clash in family.clashes if clash(self.params)]
+        bad = []
+        for k in family.params:  # in the family's order
+            v = self.params.get(k)
+            if type(v) is int and v < 1:
+                bad.append(f"parameter {k!r} must be >= 1")
+            elif type(v) is float and not 0 <= v <= 1:
+                bad.append(f"parameter {k!r} must lie in [0, 1]")
         if bad:
             raise ValidationError(f"{self.kind} model: {'; '.join(bad)}")
 

@@ -137,7 +137,8 @@ def thresholded_part(a, cut: float, symmetric: bool = False) -> tuple[np.ndarray
     values ``s_i >= cut``, always the leading ``k``. For a strict cut
     ``s_i > c`` pass ``numpy.nextafter(c, inf)``.
 
-    ``a`` is checked as by :func:`as_matrix`, finite entries included.
+    ``a`` is checked as by :func:`as_matrix`, finite entries included, and a
+    NaN ``cut``, which no singular value would reach, is refused.
     ``symmetric`` asserts, unchecked, that ``a`` is exactly symmetric: the
     part then comes from its eigenvectors (singular values are
     |eigenvalues|), several times faster than :func:`svd` and structurally
@@ -196,6 +197,8 @@ def thresholded_part(a, cut: float, symmetric: bool = False) -> tuple[np.ndarray
     whose buffer ``c^2 I - P G P`` is formed and factored) and about one
     panel of 512 rows: the basis, then the certificate's products.
     """
+    if math.isnan(cut):
+        raise ValidationError("cut must be a number, got nan")
     a = as_matrix(a)
     tall = a.shape[0] > a.shape[1]
     if tall:

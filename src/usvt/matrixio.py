@@ -153,12 +153,15 @@ def _scaled(a, s):
 
 def _shortest(a):
     """For each ``a`` (1e-4 <= a < 1e16), repr's pick: the nearest of the
-    shortest decimals that read back as ``a`` (the nearest k-digit one does
-    if any does, as the rounding interval is symmetric; a power of two,
-    where it is not, is in this range a decimal of at most 16 digits, which
-    the descent finds; at 17 digits a tie goes to the even one). Returns its
-    17 digits padded with zeros, its digit count ``k``, point position
-    ``decpt``, and ``unsure`` where a tie leaves the pick open."""
+    shortest decimals that read back as ``a``. The nearest 16-digit decimal
+    reads back if any 16-digit one does (the rounding interval is symmetric;
+    a power of two, where it is not, is here a decimal of at most 16 digits).
+    Where it does, the nearest 15-digit one is tried: any decimal of at most
+    15 digits that reads back is that one, as half an ulp, under
+    1.2 * 10**(e - 15), is less than half a unit of its 15th digit; so it is
+    the pick, stripped of its trailing zeros. At 17 digits a tie goes to the
+    even one. Returns the 17 digits padded with zeros, digit count ``k``,
+    point position ``decpt``, and ``unsure`` where a tie leaves the pick open."""
     e = np.floor(np.log10(a)).astype(np.int64)
     d, r = _scaled(a, 16 - e)
     bad = np.flatnonzero((d < _I10[16]) | (d >= _I10[17]))
@@ -167,21 +170,8 @@ def _shortest(a):
         d[bad], r[bad] = _scaled(a[bad], 16 - e[bad])
         bad = bad[(d[bad] < _I10[16]) | (d[bad] >= _I10[17])]
     unsure, k, best = np.zeros(a.shape, bool), np.full(a.shape, 17), d.copy()
-    # Where a is itself a decimal of k <= 15 digits, that is repr's pick: a
-    # decimal of fewer digits is at least 10**(e + 1 - k) >= 10**(e - 14)
-    # away, more than half an ulp (under 1.2 * 10**(e - 15)).
-    exact = (r == 0) & (d % 100 == 0)
-    short, live = np.flatnonzero(exact), np.flatnonzero(~exact)
-    ds = d[short]
-    for t in (16, 8, 4, 2, 1):  # strip its trailing zeros
-        zero = ds % _I10[t] == 0
-        ds[zero] //= _I10[t]
-        k[short[zero]] -= t
-    best[short] = ds
-    dl, rl, el, al = d[live], r[live], e[live], a[live]
-    for n in range(16, 0, -1):
-        if not live.size:
-            break
+    live, dl, rl, el, al = np.arange(a.size), d, r, e, a
+    for n in (16, 15):
         # dn, the integer nearest (d + r) / p, is floor((d + p/2 + r) / p).
         p = _I10[17 - n]
         dn = (dl + (p // 2 - (rl < 0))) // p
@@ -198,6 +188,12 @@ def _shortest(a):
         live, dl, rl, el, al = live[keep], dl[keep], rl[keep], el[keep], al[keep]
         k[live] = n
         best[live] = dn[keep]
+    ds = best[live]
+    for t in (8, 4, 2, 1):  # strip the 15-digit picks' trailing zeros
+        zero = ds % _I10[t] == 0
+        ds[zero] //= _I10[t]
+        k[live[zero]] -= t
+    best[live] = ds
     # best < 10**k: 10**(e + 1) > a, and it reads back as a double >= itself.
     return best * _I10[17 - k], k, e + 1, unsure
 

@@ -41,6 +41,11 @@ class TestConstant:
         with pytest.raises(ValidationError):
             denoise_error_constant(math.nan)
 
+    def test_rejects_infinite(self):
+        # The constant of an infinite delta is no number: inf * 0 inside.
+        with pytest.raises(ValidationError, match="delta must be positive"):
+            denoise_error_constant(math.inf)
+
 
 class TestDenoise:
     def test_equal_inputs_recovered_exactly(self):
@@ -76,6 +81,11 @@ class TestDenoise:
         # A NaN delta would make the cut NaN, and no singular value reaches it.
         with pytest.raises(ValidationError):
             denoise_by_threshold(np.eye(2), np.eye(2), math.nan)
+
+    def test_rejects_infinite_delta(self):
+        # With a == b the gap is 0, and an infinite delta makes the cut inf * 0 = NaN.
+        with pytest.raises(ValidationError, match="delta must be positive"):
+            denoise_by_threshold(np.eye(2), np.eye(2), math.inf)
 
     @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
     def test_bound_small_perturbations(self, delta):

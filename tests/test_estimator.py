@@ -629,3 +629,12 @@ def test_in_place_cut_peak_memory():
         tracemalloc.stop()
     assert rep.retained_rank >= 1
     assert peak < 2.2 * matrix_bytes, peak / matrix_bytes
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: MaskedMatrix(np.zeros((2, 2)), np.tri(2, dtype=bool), SYM),
+                 "sym mode requires a symmetric mask", id="sym-mask"),
+])
+def test_guard_rejects_bad_value(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

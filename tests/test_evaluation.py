@@ -301,3 +301,14 @@ class TestSpectralConcentration:
         for dist in ["gaussian", ["uniform"], (lambda rng, size: rng.random(size), 0.25)]:
             with pytest.raises(ValidationError):
                 spectral_concentration_trial(100, dist, 0.1, trials=5, seed=19)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: low_rank_lower_bound(3, 4, 0.5), "need 1 <= r <= m", id="rank"),
+    pytest.param(lambda: low_rank_lower_bound(3, 1, 1.5), r"p must lie in \[0, 1\]", id="p"),
+    pytest.param(lambda: spectral_concentration_trial(0, "uniform", 0.1, 1, 1),
+                 "n and trials must be positive", id="concentration"),
+])
+def test_guard_rejects_bad_value(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

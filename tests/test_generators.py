@@ -129,6 +129,19 @@ class TestDistanceMatrix:
         assert np.all(np.diagonal(d) == 0.0)
         assert np.array_equal(d, d.T)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7])
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev"])
+    def test_exactly_symmetric_with_zero_diagonal(self, metric, dim):
+        # x_i - x_j rounds to exactly -(x_j - x_i), every metric's transform
+        # is even and both orders accumulate alike: no symmetrisation needed.
+        d = gen_distance_matrix(uniform_points(60, dim, seed=mix_seed(13, dim)), metric)
+        assert np.array_equal(d, d.T)
+        assert np.array_equal(np.diagonal(d), np.zeros(60))
+
+    def test_one_dimensional_points_are_one_column(self):
+        pts = uniform_points(30, 1, seed=5)
+        assert np.array_equal(gen_distance_matrix(pts[:, 0]), gen_distance_matrix(pts))
+
     def test_unknown_metric(self):
         for metric in ["cosine", ["euclidean"], np.add]:
             with pytest.raises(ValidationError, match="unknown metric"):
@@ -285,6 +298,14 @@ class TestBradleyTerry:
         # p + p^T = 1 off the diagonal, yet 1.5 and -0.5 are no probabilities.
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
             TournamentModel(p=[[0.0, 1.5], [-0.5, 0.0]], strength_order=[0, 1])
+
+
+    @pytest.mark.parametrize("order", [[0, 0], [0.5, 1], [0, "x"]],
+                             ids=["repeated", "fractional", "not-a-number"])
+    def test_strength_order_must_be_a_permutation(self, order):
+        # 0.5 is no team index, though it truncates to one; "x" is not a number.
+        with pytest.raises(ValidationError, match="permutation of team indices"):
+            TournamentModel(p=[[0.0, 0.5], [0.5, 0.0]], strength_order=order)
 
 
 class TestPlayTournament:
@@ -621,3 +642,58 @@ def test_distance_matrix_bytes_pinned(metric, expected):
     # Euclidean distances, the harness default, are pinned through the
     # distance report digest of test_report_bytes_pinned in tests/test_cli.py.
     assert _digest(gen_distance_matrix(uniform_points(13, 3, seed=117), metric)) == expected
+
+
+_TOURNAMENT = gen_bradley_terry(3, seed=1)
+_POINTS_SHAPE = "points must be a nonempty list of equal-length vectors"
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: TournamentModel(p=np.zeros((2, 3)), strength_order=[0, 1]),
+                 "tournament matrix must be square", id="tournament-not-square"),
+    pytest.param(lambda: TournamentModel(p=np.full((2, 2), 0.5), strength_order=[0, 1]),
+                 "tournament diagonal must be zero", id="tournament-diagonal"),
+    pytest.param(lambda: TournamentModel(p=[[0.0, 0.5], [0.4, 0.0]], strength_order=[0, 1]),
+                 "p_ji = 1 - p_ij", id="tournament-complement"),
+    pytest.param(lambda: gen_blockmodel(4, 2, np.full((3, 3), 0.5), 1),
+                 "block_probs must be 2x2", id="blockmodel-shape"),
+    pytest.param(lambda: gen_blockmodel(4, 2, [[0.5, 1.5], [1.5, 0.5]], 1),
+                 r"block_probs must lie in \[0, 1\]", id="blockmodel-range"),
+    pytest.param(lambda: gen_distance_matrix([]), _POINTS_SHAPE, id="distance-empty"),
+    pytest.param(lambda: gen_distance_matrix([[1.0, 2.0], [3.0]]), _POINTS_SHAPE,
+                 id="distance-ragged"),
+    pytest.param(lambda: gen_distance_matrix([["a"], ["b"]]), _POINTS_SHAPE,
+                 id="distance-not-numbers"),
+    pytest.param(lambda: gen_distance_matrix([[0.0], [math.inf]]), "points must be finite",
+                 id="distance-infinite"),
+    pytest.param(lambda: uniform_points(0, 1, 1), "n and dim must be positive",
+                 id="uniform-points"),
+    pytest.param(lambda: gen_correlation_matrix(0, 1), "n must be positive", id="correlation"),
+    pytest.param(lambda: gen_graphon(0, "mean", 1), "n must be positive", id="graphon"),
+    pytest.param(lambda: gen_bradley_terry(0, 1), "n must be positive", id="bradley-terry-n"),
+    pytest.param(lambda: gen_bradley_terry(2, 1, "parametric", ["a", "b"]),
+                 "strengths must be n positive finite numbers", id="strengths-not-numbers"),
+    pytest.param(lambda: gen_bradley_terry(2, 1, "parametric", [1.0, -1.0]),
+                 "strengths must be n positive finite numbers", id="strengths-negative"),
+    pytest.param(lambda: gen_bradley_terry(2, 1, strengths=[1.0, 2.0]),
+                 "strengths only apply to the parametric family", id="strengths-unused"),
+    pytest.param(lambda: play_tournament(_TOURNAMENT, 1.5, 1, 1), r"p must lie in \[0, 1\]",
+                 id="tournament-p"),
+    pytest.param(lambda: play_tournament(_TOURNAMENT, 0.5, 0, 1),
+                 "games_per_pair must be >= 1", id="games-per-pair"),
+    pytest.param(lambda: gen_minimax_instance(0, 3, 0.0, 0.5, 1), "m and n must be positive",
+                 id="minimax-shape"),
+    pytest.param(lambda: gen_minimax_instance(3, 3, -1.0, 0.5, 1),
+                 r"delta must lie in \[0, m\*sqrt\(n\)\]", id="minimax-delta"),
+    pytest.param(lambda: gen_low_rank_adversary(3, 3, 4, 1), "need 1 <= r <= m",
+                 id="adversary-rank"),
+    pytest.param(lambda: bernoulli_mask(2, 2, -0.1, ASYM, 1), r"p must lie in \[0, 1\]",
+                 id="mask-p"),
+    pytest.param(lambda: bernoulli_mask(0, 2, 0.5, ASYM, 1), "rows and cols must be positive",
+                 id="mask-shape"),
+    pytest.param(lambda: bernoulli_round(np.full((2, 3), 0.5), SYM, 1),
+                 "sym mode requires a square matrix", id="round-shape"),
+])
+def test_guard_rejects_bad_value(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

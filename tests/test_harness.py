@@ -396,3 +396,15 @@ class TestEstimateFile:
         with pytest.raises(ValidationError, match="mode"):
             estimate_file(src, out, rpt, eta=0.01, mode="sym")
         assert not out.exists() and not rpt.exists()
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: small_spec(n_grid=(30, 0)), "n_grid: matrix sizes must be positive",
+                 id="n-grid"),
+    pytest.param(lambda: ModelSpec("blockmodel", {"out_prob": 1.5, "k": 0}),
+                 r"^blockmodel model: parameter 'k' must be >= 1; "
+                 r"parameter 'out_prob' must lie in \[0, 1\]$", id="two-params-in-family-order"),
+])
+def test_guard_rejects_bad_value(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

@@ -248,6 +248,20 @@ def test_thresholded_part_validates_symmetric_input(bad):
         thresholded_part(a, 0.5, symmetric=True)
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: as_matrix([[1.0, 2.0], [3.0]]),
+                 "matrix entries must be numbers in equal-length rows", id="ragged"),
+    pytest.param(lambda: as_matrix(np.zeros((0, 3))), "matrix dimensions must be positive",
+                 id="empty"),
+    pytest.param(lambda: thresholded_part(np.eye(2), math.nan), "cut must be a number",
+                 id="nan-cut"),
+])
+def test_guard_rejects_bad_value(call, message):
+    # A NaN cut compares False with every singular value: it would keep nothing.
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("m, n", [(60, 45), (540, 500)])
 def test_thresholded_part_cuts_a_tall_input_as_its_transpose(m, n):
     # 540 x 500 takes the Gram route; 60 x 45 the full SVD.
@@ -808,6 +822,45 @@ def test_krylov_route_refuses_a_basis_that_lost_orthonormality(symmetric, monkey
     assert np.abs(part - expected).max() <= 1e-10
     assert ritz == ([] if symmetric else [False])
     assert full_decompositions == ["eigh"]
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["general", "symmetric"])
+def test_krylov_route_hands_over_after_a_last_check_that_refuses(symmetric, monkeypatch,
+                                                                 full_decompositions, qr_calls):
+    # With every Krylov basis refused by the acceptance rule, a clear-gap
+    # input of 500 rows runs its whole budget of 15 steps. Its residuals
+    # meet their bound from the check at step 8; that one, the one at step
+    # 12 and the last, at step 15, neither return nor give up. The route
+    # then hands over, and the next one returns the part.
+    dims = (500, 500) if symmetric else (500, 540)
+    a = spectrum_input(dims, *SPECTRA["gap"], seed=19, symmetric=symmetric)[0]
+    accepted, refused = linalg_module._accepted, []
+
+    def refusing(*args):
+        if len(args) > 5:  # the Krylov route's call, which passes its basis
+            refused.append(args[5].shape[1] // 10 - 1)
+            return None
+        return accepted(*args)
+
+    monkeypatch.setattr(linalg_module, "_accepted", refusing)
+    qr_calls.clear()  # the input's own QR calls
+    part, k = thresholded_part(a, 5.0, symmetric=symmetric)
+    expected, expected_k = svd_oracle_part(a, 5.0)
+    assert len(qr_calls) == 1 + 2 * 15
+    assert refused == [8, 12, 15]
+    assert k == expected_k == 3
+    assert np.abs(part - expected).max() <= 1e-10
+    assert full_decompositions == ["eigh"]
+
+
+@pytest.mark.parametrize("then, was, now, excess, due", [
+    (4, math.inf, 8, 10.0, 8),  # after a near-tie: check again at once
+    (4, 10.0, 8, 20.0, math.inf),  # a rise
+    (4, 10.0, 8, 10.0, math.inf),  # no fall
+    (4, 100.0, 8, 10.0, 12),  # a tenfold fall in 4 steps reaches 1 in 4 more
+])
+def test_krylov_due_step(then, was, now, excess, due):
+    assert linalg_module._due(then, was, now, excess) == pytest.approx(due)
 
 
 @pytest.mark.parametrize("symmetric", [False, True], ids=["general", "symmetric"])

@@ -387,12 +387,17 @@ def _fixed_families():
     short = np.array([round(v, int(d)) for v, d in zip(
         rng.uniform(-1, 1, 2000) * 10.0 ** rng.integers(-4, 16, 2000), rng.integers(0, 8, 2000))])
     lo, hi = np.array([1e-4, 1e16]).view(np.int64)
+    # Ten seeded decimals of each digit count k at each exponent e, as float() reads them.
+    digits = make_rng(29)
+    decimals = np.array([float(f"{m}e{e + 1 - k}") for k in range(1, 18) for e in range(-4, 16)
+                         for m in digits.integers(10 ** (k - 1), 10 ** k, 10)])
     return {
         "powers of two": 2.0 ** np.arange(-20, 61),
         "powers of ten": _ulp_neighbours(10.0 ** np.arange(-6, 18)),
         "short decimals": _ulp_neighbours(short),
         "integers": np.concatenate([2.0**53 + np.arange(-40, 41), 1e16 + np.arange(-40, 41)]),
         "1e-4": _ulp_neighbours(np.array([1e-4, -1e-4])),
+        "every digit count": _ulp_neighbours(decimals),
         "zeros": np.array([0.0, -0.0]),
         "fast-path bits": rng.integers(lo, hi, 200_000).view(np.float64)
                           * rng.choice([-1, 1], 200_000),
