@@ -253,11 +253,11 @@ def test_thresholded_part_validates_symmetric_input(bad):
                  "matrix entries must be numbers in equal-length rows", id="ragged"),
     pytest.param(lambda: as_matrix(np.zeros((0, 3))), "matrix dimensions must be positive",
                  id="empty"),
+    # A NaN cut compares False with every singular value: it would keep nothing.
     pytest.param(lambda: thresholded_part(np.eye(2), math.nan), "cut must be a number",
                  id="nan-cut"),
 ])
 def test_guard_rejects_bad_value(call, message):
-    # A NaN cut compares False with every singular value: it would keep nothing.
     with pytest.raises(ValidationError, match=message):
         call()
 
@@ -838,7 +838,7 @@ def test_krylov_route_hands_over_after_a_last_check_that_refuses(symmetric, monk
 
     def refusing(*args):
         if len(args) > 5:  # the Krylov route's call, which passes its basis
-            refused.append(args[5].shape[1] // 10 - 1)
+            refused.append(args[5].shape[1] // 10 - 1)  # the check's step: 10 columns a step
             return None
         return accepted(*args)
 
