@@ -40,7 +40,8 @@ def mse(estimate, truth) -> float:
     if a.shape != b.shape:
         raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
     diff = a - b
-    return float((diff * diff).mean())
+    np.multiply(diff, diff, out=diff)
+    return float(diff.mean())
 
 
 def _check_size_and_rate(n: int, p: float) -> None:

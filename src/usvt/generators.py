@@ -100,8 +100,12 @@ class TournamentModel:
         off = ~np.eye(n, dtype=bool)
         if n > 1 and not np.allclose((p + p.T)[off], 1.0, rtol=0.0, atol=1e-12):
             raise ValidationError("tournament requires p_ji = 1 - p_ij off the diagonal")
-        order = np.asarray(self.strength_order)
-        if order.dtype.kind not in "iu" or sorted(order.tolist()) != list(range(n)):
+        try:
+            order = np.asarray(self.strength_order)
+        except ValueError:  # ragged: rejected below
+            order = np.empty(0)
+        if (order.shape != (n,) or order.dtype.kind not in "iu"
+                or sorted(order.tolist()) != list(range(n))):
             raise ValidationError("strength_order must be a permutation of team indices")
         object.__setattr__(self, "strength_order", order.astype(int))
 
@@ -193,10 +197,13 @@ def gen_distance_matrix(points, metric: str = "euclidean") -> np.ndarray:
     combine, transform, finish = _named(DISTANCE_METRICS, metric, "metric")
     n, dim = pts.shape
     dist = np.zeros((n, n))
-    for d in range(dim):  # x_i - x_j is -(x_j - x_i) and each transform is even: dist == dist.T
-        combine(dist, transform(pts[:, d, None] - pts[None, :, d]), out=dist)
-    finish(dist, out=dist)
+    with np.errstate(over="ignore"):  # an overflow makes the diameter inf: refused below
+        for d in range(dim):  # x_i - x_j is -(x_j - x_i), each transform even: dist == dist.T
+            combine(dist, transform(pts[:, d, None] - pts[None, :, d]), out=dist)
+        finish(dist, out=dist)
     diameter = dist.max()
+    if not np.isfinite(diameter):
+        raise ValidationError("points are too far apart: their diameter overflows")
     if diameter > 0.0:
         dist = dist / diameter
     return dist

@@ -55,7 +55,8 @@ _BLOCK = 10
 _STEPS = 40
 #: Fewest Krylov steps between two Rayleigh-Ritz checks of the basis. Once
 #: two checks show the residuals' decay, the next comes where that decay
-#: meets their bound; the last comes at the last step.
+#: meets their bound; the last comes at the last step. A decay that meets it
+#: more than this many steps past the last step is given up from the middle.
 _CHECK = 4
 #: Relative distance from the cut within which the square root of a Ritz
 #: value or eigenvalue of ``G = a a^T`` is a near-tie. The certificate
@@ -158,9 +159,9 @@ def thresholded_part(a, cut: float, symmetric: bool = False) -> tuple[np.ndarray
       same bytes) adds 10 orthonormal columns to its basis per step, for
       at most 40 steps and ``m / 3`` columns. Rayleigh-Ritz on the basis
       gives the Ritz pairs whose values reach ``cut^2``: at step 4, then
-      4 steps on, or further where the residuals' decay so far says they
-      meet their bound, and at the last step. The route returns at the
-      first of these checks where the pairs are accepted and certified.
+      4 steps on, at the budget's middle, or further where the residuals'
+      decay so far says they meet their bound, and at the last step. The
+      route returns at the first check where they are accepted and certified.
     - *Gram*, for a general ``a`` of fewer than 500 rows, or that the
       Krylov route did not certify: ``numpy.linalg.eigh`` of ``G``.
     - *Full*: :func:`svd`, or ``numpy.linalg.eigh`` of ``a`` when symmetric
@@ -187,9 +188,12 @@ def thresholded_part(a, cut: float, symmetric: bool = False) -> tuple[np.ndarray
     ``err`` exceeds ``5e-7 cut^2``, past which the margin cannot cover
     rounding; when, at a check, more than 5 Ritz values reach the cut (the
     block of 10 is saturated), the basis has lost orthonormality or the
-    Cholesky factorization fails; when the residuals of the kept Ritz pairs,
-    decaying at the rate seen between two checks, would still exceed their
-    bound at the last step (a near-tie never meets it); or when the
+    Cholesky factorization fails; when the residuals of the kept Ritz pairs
+    do not fall between two checks (a near-tie never meets their bound);
+    when, at a check from the middle of the budget on, they would at the
+    rate seen since the last check still exceed their bound 4 steps past
+    the last step (before the middle, such a check sets the next one there:
+    block Krylov convergence speeds up as the basis grows); or when the
     acceptance rule still refuses at the last check. A near-tie therefore
     costs time and never changes the answer.
 
@@ -297,8 +301,12 @@ def _krylov(a: np.ndarray, g: np.ndarray, cut: float, err: float):
             due = step
             if excess > 1.0 and last is not None and last[0] == k:
                 due = _due(*last[1:], step, excess)
-                if due > steps:
+                # Block Krylov convergence speeds up as the basis grows, so a
+                # prediction past the budget is trusted only from its middle.
+                if due == math.inf or (due > steps + _CHECK and step >= steps // 2):
                     return None
+                if due > steps + _CHECK:
+                    due = steps // 2
             # A check costs as much as several steps: at least _CHECK apart.
             check = max(step + _CHECK, math.ceil(due))
             last = (k, step, excess)

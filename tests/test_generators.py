@@ -300,10 +300,11 @@ class TestBradleyTerry:
             TournamentModel(p=[[0.0, 1.5], [-0.5, 0.0]], strength_order=[0, 1])
 
 
-    @pytest.mark.parametrize("order", [[0, 0], [0.5, 1], [0, "x"]],
-                             ids=["repeated", "fractional", "not-a-number"])
+    @pytest.mark.parametrize("order", [[0, 0], [0.5, 1], [0, "x"], [[0], 1], 1],
+                             ids=["repeated", "fractional", "not-a-number", "ragged", "scalar"])
     def test_strength_order_must_be_a_permutation(self, order):
-        # 0.5 is no team index, though it truncates to one; "x" is not a number.
+        # 0.5 is no team index, though it truncates to one; "x" is not a
+        # number; a ragged list is no array, and a scalar no sequence.
         with pytest.raises(ValidationError, match="permutation of team indices"):
             TournamentModel(p=[[0.0, 0.5], [0.5, 0.0]], strength_order=order)
 
@@ -666,6 +667,10 @@ _POINTS_SHAPE = "points must be a nonempty list of equal-length vectors"
                  id="distance-not-numbers"),
     pytest.param(lambda: gen_distance_matrix([[0.0], [math.inf]]), "points must be finite",
                  id="distance-infinite"),
+    pytest.param(lambda: gen_distance_matrix([[1e308], [-1e308]]), "diameter overflows",
+                 id="distance-overflow"),
+    pytest.param(lambda: gen_distance_matrix([[1e200], [-1e200]]), "diameter overflows",
+                 id="distance-square-overflow"),
     pytest.param(lambda: uniform_points(0, 1, 1), "n and dim must be positive",
                  id="uniform-points"),
     pytest.param(lambda: gen_correlation_matrix(0, 1), "n must be positive", id="correlation"),
