@@ -67,7 +67,7 @@ from .generators import (
     play_tournament,
     uniform_points,
 )
-from .matrixio import read_matrix_csv, write_matrix_csv
+from .matrixio import _rewrite, read_matrix_csv, write_matrix_csv
 from .rng import mix_seed
 
 __all__ = [
@@ -452,14 +452,25 @@ def report_to_dict(report: ExperimentReport) -> dict:
     }
 
 
+def _write_json(path, obj) -> None:
+    """``obj`` as sorted, indented JSON text with a final newline, written
+    over ``path`` in place (:func:`~usvt.matrixio._rewrite`)."""
+    payload = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    with _rewrite(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(payload)
+
+
 def write_report_json(report: ExperimentReport, path) -> None:
-    payload = json.dumps(report_to_dict(report), sort_keys=True, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload + "\n")
+    """The report's canonical JSON (:func:`report_to_dict`). An existing file
+    is written over in place and then cut to length, so a rerun to the same
+    path does not wait on ext4's flush of a truncated file; the write is not
+    atomic."""
+    _write_json(path, report_to_dict(report))
 
 
 def write_report_csv(report: ExperimentReport, path) -> None:
-    """Flat per-cell table for plotting; one row per grid cell."""
+    """Flat per-cell table for plotting; one row per grid cell. Written like
+    :func:`write_report_json`: in place, cut to length, not atomic."""
     lines = [",".join(_CELL_FIELDS)]
     for c in report.cells:
         row = []
@@ -474,7 +485,7 @@ def write_report_csv(report: ExperimentReport, path) -> None:
             else:
                 row.append(repr(float(value)))
         lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _rewrite(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -494,6 +505,8 @@ def estimate_file(
     Writes the estimate as CSV to ``out_path`` and, when ``report_path`` is
     given, a JSON diagnostics file (observed fraction, threshold, retained
     rank, no-data flag). Returns ``(EstimateReport, diagnostics dict)``.
+    Both files are written like :func:`write_report_json`: an existing one
+    in place and then cut to length, not atomically.
     """
     values, mask = read_matrix_csv(input_path, header=header)
     data = MaskedMatrix(values=values, mask=mask, mode=mode)
@@ -515,6 +528,5 @@ def estimate_file(
         "no_data": report.no_data,
     }
     if report_path is not None:
-        with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(diagnostics, sort_keys=True, indent=2, allow_nan=False) + "\n")
+        _write_json(report_path, diagnostics)
     return report, diagnostics

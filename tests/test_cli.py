@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -334,6 +335,32 @@ def test_estimate_command_bytes_pinned(tmp_path, capsys):
     assert digests == ["fbf7970487567d9420d7d700cb6f3a41b3ff4457b003d4d2650ce602714c7330",
                        "6ff79dd8f0303580b2c26dd6ee4a237ebaae2d681f63a23f299e7a49e8cd11e7",
                        "794eb551f7712be31a13cbc4c1314b0c1a6ee151d1d066d4cf8641184219ba2e"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="/dev/null is POSIX")
+def test_estimate_to_dev_null_exits_0(tmp_path, capsys):
+    # Passes at the parent commit; fails if the writers cut a device to
+    # length (truncate raises EINVAL there).
+    path = tmp_path / "m.csv"
+    path.write_text("0.5,NA\nNA,0.5\n")
+    code, _, err = run(["estimate", str(path), "--out", os.devnull, "--report", os.devnull],
+                       capsys)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="symlinks are POSIX")
+def test_estimate_writes_through_a_symlinked_out(tmp_path, capsys):
+    # Passes at the parent commit: the link is followed as open(path, "w")
+    # follows it, and stays a link.
+    path = tmp_path / "m.csv"
+    path.write_text("0.5,NA\nNA,0.5\n")
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("9" * 1000)
+    link.symlink_to(target)
+    assert run(["estimate", str(path), "--out", str(link)], capsys)[0] == 0
+    assert run(["estimate", str(path), "--out", str(tmp_path / "fresh.csv")], capsys)[0] == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 def test_experiment_help_states_the_byte_contract(capsys):

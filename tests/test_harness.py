@@ -398,6 +398,75 @@ class TestEstimateFile:
         assert not out.exists() and not rpt.exists()
 
 
+class TestRewrite:
+    """Every writer writes an existing file over in place and cuts it to
+    length, with ``open(path, "w")``'s bytes, links and permissions."""
+
+    def test_writers_open_without_truncating(self, tmp_path, monkeypatch):
+        # Fails at the parent commit, whose writers call open(path, "w"):
+        # that reaches no os.open, so nothing is recorded.
+        report = run_experiment(small_spec(n_grid=(30,), trials=1))
+        src = tmp_path / "in.csv"
+        write_matrix_csv(src, np.full((4, 4), 0.5))
+        real_open, seen = os.open, []
+
+        def recorder(path, flags, *args, **kwargs):
+            seen.append((Path(path).name, flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recorder)
+        write_matrix_csv(tmp_path / "m.csv", np.eye(3))
+        write_report_json(report, tmp_path / "r.json")
+        write_report_csv(report, tmp_path / "r.csv")
+        estimate_file(src, tmp_path / "e.csv", tmp_path / "e.json", eta=0.01)
+        assert [name for name, _ in seen] == ["m.csv", "r.json", "r.csv", "e.csv", "e.json"]
+        assert all(flags & os.O_CREAT and not flags & os.O_TRUNC for _, flags in seen)
+
+    def test_rewrite_over_a_longer_file_gives_fresh_bytes(self, tmp_path):
+        # Passes at the parent commit, which truncates first; fails if the
+        # cut to length is dropped.
+        def rewritten(write, first, second, name):
+            write(first, tmp_path / name)
+            write(second, tmp_path / name)
+            write(second, tmp_path / f"fresh.{name}")
+            return (tmp_path / name).read_bytes(), (tmp_path / f"fresh.{name}").read_bytes()
+
+        old, fresh = rewritten(lambda values, path: write_matrix_csv(path, values),
+                               make_rng(1).uniform(-1, 1, (40, 40)),
+                               make_rng(2).uniform(-1, 1, (3, 3)), "m.csv")
+        assert old == fresh and len(fresh) < 200
+        large, small = run_experiment(small_spec()), run_experiment(
+            small_spec(n_grid=(30,), p_grid=(1.0,), trials=1))
+        for write, name in ((write_report_json, "r.json"), (write_report_csv, "r.csv")):
+            old, fresh = rewritten(write, large, small, name)
+            assert old == fresh
+        big, tiny = tmp_path / "big.csv", tmp_path / "tiny.csv"
+        write_matrix_csv(big, make_rng(3).uniform(-1, 1, (30, 30)))
+        write_matrix_csv(tiny, make_rng(4).uniform(-1, 1, (3, 3)))
+        estimate_file(big, tmp_path / "e.csv", tmp_path / "e.json", eta=0.01)
+        estimate_file(tiny, tmp_path / "e.csv", tmp_path / "e.json", eta=0.01)
+        estimate_file(tiny, tmp_path / "f.csv", tmp_path / "f.json", eta=0.01)
+        for ext in ("csv", "json"):
+            assert (tmp_path / f"e.{ext}").read_bytes() == (tmp_path / f"f.{ext}").read_bytes()
+
+    @pytest.mark.skipif(os.name != "posix", reason="symlinks, hard links and modes are POSIX")
+    def test_rewrite_keeps_links_and_permissions(self, tmp_path):
+        # Passes at the parent commit; the permissions fail if the opener
+        # drops its 0o666 (os.open's default mode is 0o777).
+        values = make_rng(5).uniform(-1, 1, (3, 3))
+        with open(tmp_path / "plain.csv", "w"):
+            pass
+        write_matrix_csv(tmp_path / "new.csv", values)
+        assert (tmp_path / "new.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
+        target = tmp_path / "target.csv"
+        target.write_text("9" * 1000)
+        target.chmod(0o600)
+        os.link(target, tmp_path / "hard.csv")
+        write_matrix_csv(tmp_path / "hard.csv", values)
+        assert target.read_bytes() == (tmp_path / "new.csv").read_bytes()
+        assert target.stat().st_mode & 0o777 == 0o600
+
+
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: small_spec(n_grid=(30, 0)), "n_grid: matrix sizes must be positive",
                  id="n-grid"),

@@ -101,6 +101,27 @@ def test_written_text_pinned(tmp_path):
     assert path.read_text() == "c0,c1\n-0.0,5e-324\n1e+16,0.1\n"
 
 
+def test_failed_write_leaves_only_the_bytes_written(tmp_path, monkeypatch):
+    # Passes at the parent commit, which truncates before writing; fails if
+    # the cut to length runs only when the write succeeds.
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"9" * 10000)
+    values = make_rng(5).uniform(-1, 1, (6, 3))
+    blocks = []
+
+    def format_two(rows):
+        if blocks:
+            raise RuntimeError("second block")
+        blocks.append(_format_rows(rows)[0])
+        return blocks[0], 0
+
+    monkeypatch.setattr("usvt.matrixio._BLOCK", 6)  # two rows a block
+    monkeypatch.setattr("usvt.matrixio._format_rows", format_two)
+    with pytest.raises(RuntimeError, match="second block"):
+        write_matrix_csv(path, values)
+    assert path.read_bytes() == blocks[0] == _format_rows(values[:2])[0]
+
+
 def _reference_read(path, header=False):
     """The field-by-field reader that the one-pass reader replaced, kept as
     the reference that it must match: same arrays, or the same error. One
