@@ -339,8 +339,8 @@ def test_estimate_command_bytes_pinned(tmp_path, capsys):
 
 @pytest.mark.skipif(os.name != "posix", reason="/dev/null is POSIX")
 def test_estimate_to_dev_null_exits_0(tmp_path, capsys):
-    # Passes at the parent commit; fails if the writers cut a device to
-    # length (truncate raises EINVAL there).
+    # Fails if the writers cut a device to length (truncate raises EINVAL
+    # there).
     path = tmp_path / "m.csv"
     path.write_text("0.5,NA\nNA,0.5\n")
     code, _, err = run(["estimate", str(path), "--out", os.devnull, "--report", os.devnull],
@@ -350,8 +350,8 @@ def test_estimate_to_dev_null_exits_0(tmp_path, capsys):
 
 @pytest.mark.skipif(os.name != "posix", reason="symlinks are POSIX")
 def test_estimate_writes_through_a_symlinked_out(tmp_path, capsys):
-    # Passes at the parent commit: the link is followed as open(path, "w")
-    # follows it, and stays a link.
+    # The link is followed, as open(path, "w") follows it, and stays a
+    # link.
     path = tmp_path / "m.csv"
     path.write_text("0.5,NA\nNA,0.5\n")
     target, link = tmp_path / "target.csv", tmp_path / "link.csv"

@@ -403,8 +403,8 @@ class TestRewrite:
     length, with ``open(path, "w")``'s bytes, links and permissions."""
 
     def test_writers_open_without_truncating(self, tmp_path, monkeypatch):
-        # Fails at the parent commit, whose writers call open(path, "w"):
-        # that reaches no os.open, so nothing is recorded.
+        # open(path, "w") reaches no os.open, so a writer that truncates
+        # first records nothing here.
         report = run_experiment(small_spec(n_grid=(30,), trials=1))
         src = tmp_path / "in.csv"
         write_matrix_csv(src, np.full((4, 4), 0.5))
@@ -423,8 +423,7 @@ class TestRewrite:
         assert all(flags & os.O_CREAT and not flags & os.O_TRUNC for _, flags in seen)
 
     def test_rewrite_over_a_longer_file_gives_fresh_bytes(self, tmp_path):
-        # Passes at the parent commit, which truncates first; fails if the
-        # cut to length is dropped.
+        # Fails if the cut to length is dropped; truncating first passes.
         def rewritten(write, first, second, name):
             write(first, tmp_path / name)
             write(second, tmp_path / name)
@@ -451,7 +450,7 @@ class TestRewrite:
 
     @pytest.mark.skipif(os.name != "posix", reason="symlinks, hard links and modes are POSIX")
     def test_rewrite_keeps_links_and_permissions(self, tmp_path):
-        # Passes at the parent commit; the permissions fail if the opener
+        # As under open(path, "w"); the mode check fails if the opener
         # drops its 0o666 (os.open's default mode is 0o777).
         values = make_rng(5).uniform(-1, 1, (3, 3))
         with open(tmp_path / "plain.csv", "w"):

@@ -102,8 +102,8 @@ def test_written_text_pinned(tmp_path):
 
 
 def test_failed_write_leaves_only_the_bytes_written(tmp_path, monkeypatch):
-    # Passes at the parent commit, which truncates before writing; fails if
-    # the cut to length runs only when the write succeeds.
+    # Fails if the cut to length runs only when the write succeeds;
+    # truncating first passes.
     path = tmp_path / "m.csv"
     path.write_bytes(b"9" * 10000)
     values = make_rng(5).uniform(-1, 1, (6, 3))
